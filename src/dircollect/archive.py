@@ -196,8 +196,17 @@ class Archive:
 
     def _load_manifests(self) -> None:
         for manifest in sorted((self.root / "manifest").glob("*.jsonl")):
-            with self._gate.held(), open(manifest, "rb") as fh:
+            with self._gate.held(), open(manifest, "r+b") as fh:
+                kept = 0
                 for line in fh:
+                    if not line.endswith(b"\n"):
+                        # a crash mid-append leaves a line without its
+                        # newline; the next append would run into it
+                        fh.truncate(kept)
+                        log.warning("event=manifest_torn_tail file=%s dropped_bytes=%d",
+                                    manifest.name, len(line))
+                        break
+                    kept += len(line)
                     if not line.strip():
                         continue
                     rec = json.loads(line)
@@ -334,20 +343,6 @@ class Archive:
         with self._gate.held(), open(self.root / "archive" / entry.path, "rb") as fh:
             return fh.read()
 
-    def load(self, docid: DocumentIdentifier) -> RawDocument | None:
-        """Return the stored document, re-verifying its digest on the way out."""
-        entry = None
-        if not docid.digests.empty:
-            entry = self.find_by_digests(docid.digests)
-        elif docid.doctype is not None and docid.datetime is not None:
-            subject = docid.subject if docid.subject else None
-            candidates = self.find_period(docid.doctype, docid.datetime, subject)
-            if candidates:
-                entry = max(candidates, key=lambda e: e.digests.primary_for(e.doctype) or "")
-        if entry is None:
-            return None
-        return self.load_entry(entry)
-
     def load_entry(self, entry: ArchiveEntry) -> RawDocument:
         data = self._read_entry(entry)
         _, body = docparse.strip_annotation(data)
@@ -402,6 +397,7 @@ class Archive:
     # -- index ----------------------------------------------------------------------
 
     def build_index(self, task_status: dict[str, str] | None = None) -> IndexFile:
+        """The index as of now; writing it out is the service's job."""
         if task_status is not None:
             with self._lock:
                 self._task_status = dict(task_status)
@@ -416,13 +412,7 @@ class Archive:
                 ),
             )
         generated = max((fmt_ts(e.stored_at) for e in entries), default=_EPOCH_TS)
-        index = IndexFile(generated, status, tuple(entries))
-        payload = index_json_bytes(index)
-        tmp = self.root / f".tmp-{uuid.uuid4().hex}"
-        with self._gate.held(), open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, self.root / "index.json")
-        return index
+        return IndexFile(generated, status, tuple(entries))
 
     # -- integrity --------------------------------------------------------------------
 

@@ -42,15 +42,6 @@ class DocType(Enum):
         return self.value
 
 
-#: Types filed by period timestamp rather than leading digest fan-out.
-PERIOD_TYPES = frozenset({
-    DocType.ConsensusNs,
-    DocType.ConsensusMicrodesc,
-    DocType.Vote,
-    DocType.DetachedSignature,
-})
-
-
 def ensure_utc(dt: datetime) -> datetime:
     """Normalize to aware UTC with whole seconds."""
     if dt.tzinfo is None:

@@ -43,7 +43,6 @@ ANNOTATIONS: dict[DocType, tuple[str, int, int]] = {
 }
 
 ANNOTATIONS_BY_NAME = {name: t for t, (name, _, _) in ANNOTATIONS.items()}
-_NAME_TO_TYPE = ANNOTATIONS_BY_NAME
 
 _ANNOTATION_RE = re.compile(rb"^@type ([a-z0-9-]+) (\d+)\.(\d+)$")
 _HEX40_RE = re.compile(r"^[0-9A-Fa-f]{40}$")
@@ -127,8 +126,8 @@ def detect_type(data: bytes) -> DocType:
         if eol < 0:
             eol = len(data)
         ann = _parse_annotation(data[pos:eol])
-        if ann is not None and ann.type_name in _NAME_TO_TYPE:
-            return _NAME_TO_TYPE[ann.type_name]
+        if ann is not None and ann.type_name in ANNOTATIONS_BY_NAME:
+            return ANNOTATIONS_BY_NAME[ann.type_name]
         pos = eol + 1
     head = data[pos : pos + 4096]
     try:
@@ -209,34 +208,26 @@ def make_raw(
     source: str,
     retrieved_at: datetime,
     doctype: DocType | None = None,
-    compute: bool = True,
 ) -> RawDocument:
     """Build a RawDocument with freshly computed digests.
 
     Detection failures and missing digest ranges demote the document to
     an unrecognized blob (doctype None, full-body SHA-256) rather than
-    dropping it. ``compute=False`` keeps the stated doctype and skips
-    range lookup, for callers that only need annotation or storage of
-    arbitrary bytes.
+    dropping it.
     """
     ann, body = strip_annotation(body)
     if doctype is None:
-        if ann is not None and ann.type_name in _NAME_TO_TYPE:
-            doctype = _NAME_TO_TYPE[ann.type_name]
+        if ann is not None and ann.type_name in ANNOTATIONS_BY_NAME:
+            doctype = ANNOTATIONS_BY_NAME[ann.type_name]
         else:
             try:
                 doctype = detect_type(body)
             except UnrecognizedDocument:
                 doctype = None
-    if compute and doctype is not None:
-        try:
-            digests = compute_digests(body, doctype)
-        except DigestRangeNotFound:
-            doctype = None
-            digests = compute_digests(body, None)
-    else:
-        digests = compute_digests(body, None) if not compute or doctype is None else None
-    if digests is None:  # pragma: no cover - unreachable by construction
+    try:
+        digests = compute_digests(body, doctype)
+    except DigestRangeNotFound:
+        doctype = None
         digests = compute_digests(body, None)
     return RawDocument(doctype, body, source, retrieved_at, digests)
 

@@ -16,7 +16,6 @@ decide whether an identifier is offered to another server.
 from __future__ import annotations
 
 import enum
-import gzip
 import http.client
 import logging
 import socket
@@ -169,14 +168,24 @@ class Fetcher:
                 raise FetchError(f"{url}: {exc}", server_id=server.server_id) from exc
         if len(body) > self.max_body:
             raise TooLarge(f"{url}: body exceeds {self.max_body} bytes")
-        if encoding == "gzip":
-            body = gzip.decompress(body)
-        elif encoding == "deflate":
-            body = zlib.decompress(body)
-        if len(body) > self.max_body:
-            raise TooLarge(f"{url}: decompressed body exceeds {self.max_body} bytes")
+        body = self._decode(body, encoding, url)
         self.metrics.incr("fetcher.bytes", len(body))
         return body
+
+    def _decode(self, body: bytes, encoding: str, url: str) -> bytes:
+        """Inflate a gzip or deflate body, never past max_body bytes."""
+        if encoding not in ("gzip", "deflate"):
+            return body
+        inflater = zlib.decompressobj(zlib.MAX_WBITS | 32)  # either header
+        try:
+            out = inflater.decompress(body, self.max_body + 1)
+        except zlib.error as exc:
+            raise FetchError(f"{url}: corrupt {encoding} body: {exc}") from exc
+        if len(out) > self.max_body:
+            raise TooLarge(f"{url}: decompressed body exceeds {self.max_body} bytes")
+        if not inflater.eof:
+            raise FetchError(f"{url}: truncated {encoding} body")
+        return out
 
     def _raw(self, body: bytes, server: ServerEndpoint) -> RawDocument:
         return docparse.make_raw(body, server.server_id, self.clock.now())
@@ -309,8 +318,7 @@ class Fetcher:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 body = resp.read(self.max_body + 1)
-                if resp.headers.get("Content-Encoding") == "gzip":
-                    body = gzip.decompress(body)
+                encoding = resp.headers.get("Content-Encoding", "")
         except urllib.error.HTTPError as exc:
             if exc.code in (404, 410):
                 raise PermanentMiss(url) from exc
@@ -321,5 +329,6 @@ class Fetcher:
         if len(body) > self.max_body:
             raise TooLarge(url)
         return docparse.make_raw(
-            body, base_url, self.clock.now(), DocType.TorperfResults
+            self._decode(body, encoding, url), base_url, self.clock.now(),
+            DocType.TorperfResults,
         )

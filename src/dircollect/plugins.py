@@ -23,7 +23,7 @@ from .docmodel import DigestSet, DocType, DocumentIdentifier, RawDocument
 from .errors import CollectorError, FetchError, PermanentMiss, PluginInitError
 from .fetcher import ONIONPERF_SIZES, Fetcher, ServerEndpoint
 from .metrics import Metrics
-from .refchecker import STARTING_TYPES, ReferenceChecker
+from .refchecker import REFERRER_TYPES, ReferenceChecker
 from .scheduler import Phase, Scheduler
 
 log = logging.getLogger("dircollect.plugins")
@@ -353,7 +353,7 @@ class RelayDescsPlugin(Plugin):
         raise FetchError(f"relaydescs cannot fetch {docid.key()}")
 
     def admit(self, raw: RawDocument, entry: ArchiveEntry) -> None:
-        if raw.doctype not in STARTING_TYPES:
+        if raw.doctype not in REFERRER_TYPES:
             return
         try:
             parsed = docparse.parse(raw)
@@ -361,9 +361,7 @@ class RelayDescsPlugin(Plugin):
             log.warning("event=admit_parse_failed path=%s error=%r",
                         entry.path, exc)
             return
-        ident = DocumentIdentifier(
-            entry.doctype, entry.subject, entry.doc_datetime, entry.digests)
-        self.refchecker.add_starting_point(parsed, ident=ident)
+        self.refchecker.add_referrer(parsed, entry)
         if raw.doctype in (DocType.ConsensusNs, DocType.ConsensusMicrodesc):
             try:
                 self.scheduler.set_timings(

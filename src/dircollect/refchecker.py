@@ -1,11 +1,12 @@
 """Reference checking: what should exist, what to fetch, what was tried.
 
-Holds the starting-point documents (votes, consensuses, detached
-signatures) fetched in the last three hours, walks their references to
-produce download expectations, guesses period documents that should
-exist by now from the consensus timing alone, and keeps the one-attempt
-ledger that stops a (document, server) pair being asked twice in the
-same downloader phase.
+Holds the references of every status document (vote, consensus,
+detached signature) and server descriptor admitted in the last three
+hours, extracted once when the document arrives; filters them against
+the archive to produce download expectations; guesses period documents
+that should exist by now from the consensus timing alone; and keeps the
+one-attempt ledger that stops a (document, server) pair being asked
+twice in the same downloader phase.
 """
 
 from __future__ import annotations
@@ -17,27 +18,23 @@ from datetime import datetime, timedelta
 from math import floor
 
 from . import docparse
-from .archive import Archive
+from .archive import Archive, ArchiveEntry
 from .clock import Clock
-from .docmodel import (
-    ConsensusTimings,
-    DocType,
-    DocumentIdentifier,
-    fmt_ts,
-)
-from .errors import WrongDocType
+from .docmodel import ConsensusTimings, DocType, DocumentIdentifier
+from .errors import CollectorError, WrongDocType
 from .metrics import Metrics
 
 log = logging.getLogger("dircollect.refchecker")
 
-STARTING_TYPES = frozenset({
+REFERRER_TYPES = frozenset({
     DocType.Vote,
     DocType.ConsensusNs,
     DocType.ConsensusMicrodesc,
     DocType.DetachedSignature,
+    DocType.ServerDescriptor,
 })
 
-STARTING_POINT_WINDOW = timedelta(hours=3)
+REFERRER_WINDOW = timedelta(hours=3)
 
 #: Output ordering of expectations. Consensus digests (referenced by
 #: detached signatures) come first since everything else hangs off them,
@@ -55,9 +52,9 @@ _ORDER_COUNT = 6
 
 
 @dataclass(frozen=True)
-class _StartingPoint:
-    ident: DocumentIdentifier
-    parsed: docparse.ParsedDocument
+class _Referrer:
+    #: (fetch order, referenced document) pairs
+    refs: tuple[tuple[int, DocumentIdentifier], ...]
     added_at: datetime
 
 
@@ -80,57 +77,47 @@ class ReferenceChecker:
         self.authorities = list(authorities or [])
         self.metrics = metrics or Metrics()
         self._lock = threading.RLock()
-        self._points: dict[str, _StartingPoint] = {}
+        self._referrers: dict[str, _Referrer] = {}
         self._guessed: dict[str, _Guess] = {}
         self._missed: set[str] = set()
         self._attempts: set[tuple[str, str]] = set()
         self._phase_tag: object = None
-        self._extra_info_refs: dict[str, DocumentIdentifier | None] = {}
 
-    # -- starting points ------------------------------------------------------
+    # -- referrers ------------------------------------------------------------
 
-    def add_starting_point(
-        self,
-        parsed: docparse.ParsedDocument,
-        now: datetime | None = None,
-        ident: DocumentIdentifier | None = None,
-    ) -> None:
-        if parsed.doctype not in STARTING_TYPES:
-            raise WrongDocType(f"{parsed.doctype} is not a starting point type")
-        if ident is None:
-            raw = docparse.make_raw(
-                parsed.source_bytes, "starting-point", now or self.clock.now(),
-                parsed.doctype,
-            )
-            ident = docparse.identify(raw, parsed)
-        key = ident.key()
+    def add_referrer(self, parsed: docparse.ParsedDocument, entry: ArchiveEntry) -> None:
+        """Remember what one archived document references, as of its store time."""
+        if parsed.doctype not in REFERRER_TYPES:
+            raise WrongDocType(f"{parsed.doctype} references nothing worth checking")
         with self._lock:
-            if key in self._points:
+            if entry.path in self._referrers:
                 return
-            self._points[key] = _StartingPoint(ident, parsed, now or self.clock.now())
-            self.metrics.set_gauge("refchecker.starting_points", len(self._points))
-        log.info("event=starting_point type=%s key=%s", parsed.doctype.value, key[:16])
+        refs = tuple(
+            (_EXPECT_ORDER[ref.doctype], ref)
+            for ref in docparse.extract_references(parsed, self.metrics)
+            if ref.doctype in _EXPECT_ORDER
+        )
+        with self._lock:
+            self._referrers.setdefault(entry.path, _Referrer(refs, entry.stored_at))
+            self.metrics.set_gauge("refchecker.referrers", len(self._referrers))
 
     def load_from_archive(self, now: datetime | None = None) -> int:
-        """Re-seed starting points from the last 3 h of archived statuses."""
+        """Re-seed referrers from the last 3 h of archived statuses and
+        server descriptors."""
         now = now or self.clock.now()
         loaded = 0
         for entry in self.archive.entries():
-            if entry.doctype not in STARTING_TYPES:
+            if entry.doctype not in REFERRER_TYPES:
                 continue
-            if now - entry.stored_at > STARTING_POINT_WINDOW:
+            if now - entry.stored_at > REFERRER_WINDOW:
                 continue
             try:
-                raw = self.archive.load_entry(entry)
-                parsed = docparse.parse(raw)
-            except Exception as exc:
-                log.warning("event=starting_point_unloadable path=%s error=%r",
+                parsed = docparse.parse(self.archive.load_entry(entry))
+            except (CollectorError, OSError) as exc:
+                log.warning("event=referrer_unloadable path=%s error=%r",
                             entry.path, exc)
                 continue
-            ident = DocumentIdentifier(
-                entry.doctype, entry.subject, entry.doc_datetime, entry.digests
-            )
-            self.add_starting_point(parsed, now=entry.stored_at, ident=ident)
+            self.add_referrer(parsed, entry)
             loaded += 1
         return loaded
 
@@ -138,17 +125,13 @@ class ReferenceChecker:
         now = now or self.clock.now()
         with self._lock:
             stale = [
-                key for key, point in self._points.items()
-                if now - point.added_at > STARTING_POINT_WINDOW
+                key for key, referrer in self._referrers.items()
+                if now - referrer.added_at > REFERRER_WINDOW
             ]
             for key in stale:
-                del self._points[key]
-            self.metrics.set_gauge("refchecker.starting_points", len(self._points))
+                del self._referrers[key]
+            self.metrics.set_gauge("refchecker.referrers", len(self._referrers))
         return len(stale)
-
-    def starting_point_count(self) -> int:
-        with self._lock:
-            return len(self._points)
 
     # -- guessing period documents ---------------------------------------------
 
@@ -224,18 +207,6 @@ class ReferenceChecker:
                     self.metrics.incr("refchecker.permanently_missed")
                     log.info("event=permanently_missed key=%s", key)
 
-    def note_missed(self, ident: DocumentIdentifier) -> None:
-        """Record a miss decided elsewhere (e.g. an HTTP 404 that is final)."""
-        with self._lock:
-            if ident.key() in self._missed:
-                return
-            self._missed.add(ident.key())
-        self.metrics.incr("refchecker.permanently_missed")
-
-    def is_missed(self, ident: DocumentIdentifier) -> bool:
-        with self._lock:
-            return ident.key() in self._missed
-
     def permanently_missed_count(self) -> int:
         with self._lock:
             return len(self._missed)
@@ -243,57 +214,26 @@ class ReferenceChecker:
     # -- expectations -------------------------------------------------------------
 
     def expectations(self, now: datetime | None = None) -> list[DocumentIdentifier]:
-        """Everything referenced but not archived, in fetch order:
-        bandwidth lists, then server descriptors, then microdescriptors,
-        then extra-info descriptors."""
+        """Everything referenced from the window but not archived, in fetch
+        order: consensuses, bandwidth lists, server descriptors,
+        microdescriptors, then extra-info descriptors."""
         now = now or self.clock.now()
-        buckets: dict[int, dict[str, DocumentIdentifier]] = {
-            i: {} for i in range(_ORDER_COUNT)
-        }
+        buckets: list[dict[str, DocumentIdentifier]] = [{} for _ in range(_ORDER_COUNT)]
         with self._lock:
-            points = list(self._points.values())
-        for point in points:
-            for ref in docparse.extract_references(point.parsed, self.metrics):
-                order = _EXPECT_ORDER.get(ref.doctype)
-                if order is None:
-                    continue
+            referrers = list(self._referrers.values())
+        for referrer in referrers:
+            if now - referrer.added_at > REFERRER_WINDOW:
+                continue
+            for order, ref in referrer.refs:
                 buckets[order].setdefault(ref.key(), ref)
-        for ref in self._extra_info_expectations(now):
-            buckets[_EXPECT_ORDER[DocType.ExtraInfoDescriptor]].setdefault(ref.key(), ref)
         pending = [
             ident
-            for order in range(_ORDER_COUNT)
-            for ident in buckets[order].values()
+            for bucket in buckets
+            for ident in bucket.values()
             if self.archive.find_by_digests(ident.digests) is None
         ]
         self.metrics.set_gauge("refchecker.expectations_pending", len(pending))
         return pending
-
-    def _extra_info_expectations(self, now: datetime) -> list[DocumentIdentifier]:
-        """extra-info references of server descriptors stored in the window."""
-        out = []
-        for entry in self.archive.entries():
-            if entry.doctype is not DocType.ServerDescriptor:
-                continue
-            if now - entry.stored_at > STARTING_POINT_WINDOW:
-                continue
-            key = entry.digests.sha1_hex or entry.path
-            if key not in self._extra_info_refs:
-                ref = None
-                try:
-                    raw = self.archive.load_entry(entry)
-                    refs = docparse.extract_references(docparse.parse(raw), self.metrics)
-                    ref = next(
-                        (r for r in refs if r.doctype is DocType.ExtraInfoDescriptor),
-                        None,
-                    )
-                except Exception as exc:
-                    log.warning("event=descriptor_unparseable path=%s error=%r",
-                                entry.path, exc)
-                self._extra_info_refs[key] = ref
-            if self._extra_info_refs[key] is not None:
-                out.append(self._extra_info_refs[key])
-        return out
 
     # -- attempt ledger --------------------------------------------------------------
 
@@ -315,8 +255,3 @@ class ReferenceChecker:
                 return False
             self._attempts.add(key)
             return True
-
-    def reset_phase(self, new_phase) -> None:
-        with self._lock:
-            self._attempts.clear()
-            self._phase_tag = new_phase

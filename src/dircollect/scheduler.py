@@ -95,18 +95,6 @@ def phase_token(t: datetime, timings: ConsensusTimings | None) -> tuple[int | No
     return ordinal, (Phase.Alpha if within < alpha_len else Phase.Beta)
 
 
-def next_phase_change(t: datetime, timings: ConsensusTimings | None) -> datetime | None:
-    """The next instant at which phase_token changes, or None pre-consensus."""
-    if timings is None:
-        return None
-    sched = compute_schedule(timings)
-    ordinal, phase = phase_token(t, timings)
-    base = sched.alpha_start + timedelta(seconds=ordinal * sched.period_seconds)
-    if phase is Phase.Alpha:
-        return base + (sched.beta_start - sched.alpha_start)
-    return base + timedelta(seconds=sched.period_seconds)
-
-
 def next_daily(now: datetime, at: str) -> datetime:
     """Next occurrence of the UTC wall time ``"HH:MM"`` strictly after now."""
     hour, minute = (int(part) for part in at.split(":"))
@@ -208,10 +196,6 @@ class Scheduler:
         with self._lock:
             return dict(self._completions)
 
-    def record_completion(self, name: str, at: datetime | None = None) -> None:
-        with self._lock:
-            self._completions[name] = at or self._clock.now()
-
     # -- the loop -------------------------------------------------------------
 
     def run(self) -> None:
@@ -232,6 +216,8 @@ class Scheduler:
                     job.running = True
                     self._advance(job, now)
                     to_fire.append(job)
+            if to_fire:
+                self._threads = [t for t in self._threads if t.is_alive()]
             for job in to_fire:
                 thread = threading.Thread(
                     target=self._execute, args=(job,), name=f"job-{job.name}", daemon=True
@@ -278,12 +264,13 @@ class Scheduler:
             job.action()
         except Exception as exc:
             log.warning("event=job_failed job=%s error=%r", job.name, exc)
-            self.metrics.incr(f"scheduler.failures.{job.name}")
             with self._lock:
                 if job.retry_backoff:
                     job.next_at = self._clock.now() + timedelta(seconds=job.backoff)
                     job.backoff = min(job.backoff * 2, BOOTSTRAP_BACKOFF_CAP)
                 job.running = False
+                # counted last, so a reader of the counter sees the retry set
+                self.metrics.incr(f"scheduler.failures.{job.name}")
             self._wake.set()
             return
         finished = self._clock.now()

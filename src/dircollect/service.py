@@ -180,8 +180,8 @@ class Service:
     # -- lifecycle -------------------------------------------------------------
 
     def seed_from_archive(self) -> None:
-        """Adopt whatever a previous run left behind: recent status
-        documents become starting points again, and a still-valid
+        """Adopt whatever a previous run left behind: recent statuses and
+        server descriptors become referrers again, and a still-valid
         consensus restores the schedule without waiting for bootstrap."""
         now = self.clock.now()
         self.refchecker.load_from_archive(now)
@@ -278,9 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", metavar="LEVEL",
                         help="override log_level")
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="collect and serve until interrupted")
-    run.add_argument("--once", action="store_true",
-                     help="one collection pass instead of the schedule")
+    sub.add_parser("run", help="collect and serve until interrupted")
     sub.add_parser("once", help="one collection pass, then exit")
     imp = sub.add_parser("import", help="ingest documents from a file or tree")
     imp.add_argument("path")
@@ -303,11 +301,13 @@ def _wait_for_signal() -> None:
         stop.wait(1.0)
 
 
-def _cmd_run(config: Config, once: bool) -> int:
+def _cmd_once(config: Config) -> int:
+    Service(config).once()
+    return 0
+
+
+def _cmd_run(config: Config) -> int:
     service = Service(config)
-    if once:
-        service.once()
-        return 0
     if not service.plugins:
         log.warning("event=no_plugins_active")
     service.start()
@@ -377,9 +377,9 @@ def main(argv: list[str] | None = None) -> int:
         })
         logging.getLogger().setLevel(config.log_level.upper())
         if args.command == "run":
-            return _cmd_run(config, args.once)
+            return _cmd_run(config)
         if args.command == "once":
-            return _cmd_run(config, True)
+            return _cmd_once(config)
         if args.command == "import":
             return _cmd_import(config, args.path)
         if args.command == "verify":

@@ -8,7 +8,7 @@ import pytest
 import oracle_digests as oracle
 import sample_docs as docs
 from dircollect import docparse
-from dircollect.archive import Archive, entry_path
+from dircollect.archive import Archive, entry_path, index_json_bytes
 from dircollect.clock import ManualClock
 from dircollect.docmodel import DocType, DocumentIdentifier, parse_ts
 from dircollect.errors import CorruptEntry
@@ -52,7 +52,7 @@ ALL_DOCS = [
 def test_store_load_round_trip_every_type(arch):
     for body in ALL_DOCS:
         entry = store_doc(arch, body)
-        raw = arch.load(DocumentIdentifier(entry.doctype, digests=entry.digests))
+        raw = arch.load_entry(arch.find_by_digests(entry.digests))
         assert raw.body == body, entry.type_name
 
 
@@ -70,7 +70,7 @@ def test_unrecognized_blob_is_kept(arch):
     assert entry.doctype is None
     assert entry.path.startswith("unrecognized/")
     assert oracle.whole_file_sha256(blob) in entry.path
-    raw = arch.load(DocumentIdentifier(None, digests=entry.digests))
+    raw = arch.load_entry(arch.find_by_digests(entry.digests))
     assert raw.body == blob  # no annotation on unrecognized blobs
 
 
@@ -115,14 +115,15 @@ def test_load_unknown_digest(arch):
         digests=docparse.compute_digests(b"router x 1.2.3.4 1 1 1\nrouter-signature\n",
                                          DocType.ServerDescriptor),
     )
-    assert arch.load(ident) is None
+    assert arch.find_by_digests(ident.digests) is None
+    assert not arch.contains(ident)
 
 
 def test_load_by_period(arch):
     store_doc(arch, docs.CONSENSUS_NS)
     guessed = DocumentIdentifier(DocType.ConsensusNs, "", parse_ts("2018-11-15 19:00:00"))
-    raw = arch.load(guessed)
-    assert raw is not None and raw.body == docs.CONSENSUS_NS
+    (entry,) = arch.find_period(guessed.doctype, guessed.datetime)
+    assert arch.load_entry(entry).body == docs.CONSENSUS_NS
     assert arch.contains(guessed)
 
 
@@ -133,7 +134,7 @@ def test_corruption_detected_on_load(arch):
     data[len(data) // 2] ^= 0x01
     target.write_bytes(bytes(data))
     with pytest.raises(CorruptEntry):
-        arch.load(DocumentIdentifier(entry.doctype, digests=entry.digests))
+        arch.load_entry(arch.find_by_digests(entry.digests))
     report = arch.verify_integrity()
     assert report.corrupt == [entry.path]
     assert report.warn
@@ -144,12 +145,27 @@ def test_manifest_reload(tmp_path, clock):
     stored = {store_doc(arch, body).path for body in ALL_DOCS}
     reopened = Archive(tmp_path / "data", clock)
     assert {e.path for e in reopened.entries()} == stored
-    raw = reopened.load(
-        DocumentIdentifier(DocType.ServerDescriptor,
-                           digests=docparse.compute_digests(docs.SERVER_DESCRIPTOR,
-                                                            DocType.ServerDescriptor))
-    )
-    assert raw.body == docs.SERVER_DESCRIPTOR
+    entry = reopened.find_by_digests(
+        docparse.compute_digests(docs.SERVER_DESCRIPTOR, DocType.ServerDescriptor))
+    assert reopened.load_entry(entry).body == docs.SERVER_DESCRIPTOR
+
+
+def test_torn_manifest_tail_is_dropped(tmp_path, clock):
+    arch = Archive(tmp_path / "data", clock)
+    vote = store_doc(arch, docs.VOTE)
+    lost = store_doc(arch, docs.SERVER_DESCRIPTOR)
+    (manifest,) = (arch.root / "manifest").glob("*.jsonl")
+    manifest.write_bytes(manifest.read_bytes()[:-40])  # crash mid-append
+
+    reopened = Archive(tmp_path / "data", clock)
+    assert [e.path for e in reopened.entries()] == [vote.path]
+    added = store_doc(reopened, docs.EXTRA_INFO)
+    again = store_doc(reopened, docs.SERVER_DESCRIPTOR)
+    assert again == lost
+
+    final = Archive(tmp_path / "data", clock)
+    assert {e.path for e in final.entries()} == {vote.path, lost.path, added.path}
+    assert final.load_entry(final.find_by_digests(added.digests)).body == docs.EXTRA_INFO
 
 
 # --- recent/ ----------------------------------------------------------------
@@ -189,7 +205,7 @@ def test_recent_pruned_after_72h(arch, clock):
 def test_index_empty_archive(arch):
     index = arch.build_index()
     assert index.entries == ()
-    doc = json.loads((arch.root / "index.json").read_text())
+    doc = json.loads(index_json_bytes(index))
     assert list(doc.keys()) == ["generated_at", "task_status", "entries"]
     assert doc["entries"] == []
 
@@ -197,10 +213,8 @@ def test_index_empty_archive(arch):
 def test_index_sorted_and_stable(arch):
     for body in (docs.VOTE, docs.SERVER_DESCRIPTOR, docs.MICRODESCRIPTOR):
         store_doc(arch, body)
-    arch.build_index({"eager-votes": "2018-11-15 19:52:30"})
-    first = (arch.root / "index.json").read_bytes()
-    arch.build_index()
-    second = (arch.root / "index.json").read_bytes()
+    first = index_json_bytes(arch.build_index({"eager-votes": "2018-11-15 19:52:30"}))
+    second = index_json_bytes(arch.build_index())
     assert first == second
     doc = json.loads(first)
     assert [e["type"] for e in doc["entries"]] == [
@@ -218,11 +232,9 @@ def test_index_survives_reopen_identically(tmp_path, clock):
     arch = Archive(tmp_path / "data", clock)
     for body in ALL_DOCS:
         store_doc(arch, body)
-    arch.build_index()
-    first = (arch.root / "data" if False else arch.root / "index.json").read_bytes()
+    first = index_json_bytes(arch.build_index())
     reopened = Archive(tmp_path / "data", clock)
-    reopened.build_index()
-    assert (reopened.root / "index.json").read_bytes() == first
+    assert index_json_bytes(reopened.build_index()) == first
 
 
 # --- integrity ---------------------------------------------------------------

@@ -156,6 +156,12 @@ class TestMeta:
         parsed = json.loads(body)
         assert len(parsed["entries"]) == 2
 
+    def test_index_json_is_a_pure_read(self, server, archive, clock):
+        stored(archive, clock, sample_docs.VOTE)
+        assert json.loads(get_body(server, "/index.json"))["entries"]
+        assert not (archive.root / "index.json").exists()
+        assert not list(archive.root.glob(".tmp-*"))
+
     def test_status_endpoint(self, server):
         status = json.loads(get_body(server, "/status"))
         assert status == {"phase": "alpha", "jobs": 3}

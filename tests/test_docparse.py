@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import oracle_digests as oracle
 import sample_docs as docs
 from dircollect import docparse
-from dircollect.docmodel import DocType, b64_to_hex, parse_ts
+from dircollect.docmodel import DocType, RawDocument, b64_to_hex, parse_ts
 from dircollect.errors import (
     DigestRangeNotFound,
     InvalidTimings,
@@ -300,8 +300,7 @@ def test_strip_annotation_absent():
 @given(st.binary(min_size=1, max_size=512))
 def test_annotate_round_trip_random_bodies(body):
     for doctype in DocType:
-        raw = docparse.make_raw(body, source="x", retrieved_at=NOW, doctype=doctype,
-                                compute=False)
+        raw = RawDocument(doctype, body, "x", NOW, docparse.compute_digests(body, None))
         ann, stripped = docparse.strip_annotation(docparse.annotate(raw))
         assert stripped == body
         assert ann.type_name == docparse.annotation_line(doctype).split()[1].decode()

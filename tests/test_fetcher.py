@@ -1,9 +1,12 @@
 """Fetcher tests, run against the simulated authority network."""
 
 import base64
+import gzip
 import socket
 import threading
 import time
+import tracemalloc
+import zlib
 from datetime import date, datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -313,8 +316,12 @@ class _MeasurementHandler(BaseHTTPRequestHandler):
     def do_GET(self):
         files = self.server.files
         if self.path in files:
-            body = files[self.path]
+            body, encoding = files[self.path], None
+            if isinstance(body, tuple):
+                body, encoding = body
             self.send_response(200)
+            if encoding:
+                self.send_header("Content-Encoding", encoding)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
@@ -331,21 +338,72 @@ class _MeasurementHandler(BaseHTTPRequestHandler):
         pass
 
 
+TPF = (b"BUILDTIMES=0.3 DATACOMPLETE=1542305002.91 FILESIZE=51200 "
+       b"SOURCE=op-x START=1542305000.00\n")
+
+
+@pytest.fixture
+def file_server():
+    """A plain HTTP server; tests fill ``files`` with path -> body or
+    path -> (body, Content-Encoding)."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _MeasurementHandler)
+    server.files = {}
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+def _zeros_bomb(size: int) -> bytes:
+    """gzip of ``size`` zero bytes, built without holding them in memory."""
+    packer = zlib.compressobj(9, zlib.DEFLATED, zlib.MAX_WBITS | 16)
+    chunk = bytes(1 << 20)
+    return b"".join(packer.compress(chunk) for _ in range(size >> 20)) + packer.flush()
+
+
+class TestCompressedBodies:
+    @pytest.fixture
+    def endpoint(self, file_server):
+        return ServerEndpoint("files", f"127.0.0.1:{file_server.server_address[1]}")
+
+    def test_deflate_and_gzip_both_decoded(self, file_server, endpoint, fetcher):
+        file_server.files["/gz"] = (gzip.compress(TPF), "gzip")
+        file_server.files["/zz"] = (zlib.compress(TPF), "deflate")
+        assert fetcher.get(endpoint, "/gz") == TPF
+        assert fetcher.get(endpoint, "/zz") == TPF
+
+    def test_corrupt_gzip_body_is_fetch_error(self, file_server, endpoint, fetcher):
+        good = gzip.compress(TPF)
+        file_server.files["/corrupt"] = (good[:10] + b"\xff" * 40, "gzip")
+        file_server.files["/truncated"] = (good[: len(good) // 2], "gzip")
+        for path in ("/corrupt", "/truncated"):
+            with pytest.raises(FetchError):
+                fetcher.get(endpoint, path)
+        base = f"http://{endpoint.address}"
+        file_server.files["/op-x-51200-2018-11-14.tpf"] = (good[:10] + b"\xff" * 40, "gzip")
+        with pytest.raises(FetchError):
+            fetcher.fetch_onionperf(base, "op-x", 51200, date(2018, 11, 14))
+
+    def test_gzip_bomb_refused_before_inflating(self, file_server, endpoint, clock):
+        inflated = 64 << 20
+        file_server.files["/bomb"] = (_zeros_bomb(inflated), "gzip")
+        small = Fetcher(clock, timeout=5.0, max_body=1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                small.get(endpoint, "/bomb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < inflated // 8
+
+
 class TestOnionperf:
     @pytest.fixture
-    def host(self):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _MeasurementHandler)
-        server.files = {
-            "/op-x-51200-2018-11-14.tpf": (
-                b"BUILDTIMES=0.3 DATACOMPLETE=1542305002.91 FILESIZE=51200 "
-                b"SOURCE=op-x START=1542305000.00\n"
-            ),
-        }
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-        server.shutdown()
-        server.server_close()
+    def host(self, file_server):
+        file_server.files["/op-x-51200-2018-11-14.tpf"] = TPF
+        return f"http://127.0.0.1:{file_server.server_address[1]}"
 
     def test_fetches_and_types_results(self, host, fetcher):
         raw = fetcher.fetch_onionperf(host, "op-x", 51200, date(2018, 11, 14))
@@ -364,3 +422,8 @@ class TestOnionperf:
             refused.fetch_onionperf(
                 "http://127.0.0.1:1", "op-x", 51200, date(2018, 11, 14)
             )
+
+    def test_deflate_results_decoded(self, host, file_server, fetcher):
+        file_server.files["/op-x-51200-2018-11-13.tpf"] = (zlib.compress(TPF), "deflate")
+        raw = fetcher.fetch_onionperf(host, "op-x", 51200, date(2018, 11, 13))
+        assert raw.body == TPF

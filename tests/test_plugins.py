@@ -207,7 +207,9 @@ class TestBootstrap:
         timings = rig.scheduler.timings
         assert timings is not None
         assert timings.valid_after == ts(19)
-        assert rig.refchecker.starting_point_count() == 1
+        assert rig.metrics.gauge("refchecker.referrers") == 1
+        pending = rig.refchecker.expectations()
+        assert pending and {p.doctype for p in pending} == {DocType.ServerDescriptor}
         assert rig.archive.counts() == {"consensus": 1}
 
     def test_bootstrap_skips_dead_authority(self, tmp_path, clock):

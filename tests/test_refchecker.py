@@ -1,4 +1,4 @@
-"""Tests for reference checking: starting points, guesses, the ledger."""
+"""Tests for reference checking: referrers, guesses, the ledger."""
 
 from datetime import datetime, timedelta, timezone
 
@@ -44,55 +44,73 @@ def make_parsed(body, clock):
     return docparse.parse(raw), raw
 
 
+def admit(archive, checker, body):
+    """Archive a document and hand it to the checker, as the relaydescs
+    plugin does for every newly stored document."""
+    parsed, raw = make_parsed(body, checker.clock)
+    entry = archive.store(raw)
+    checker.add_referrer(parsed, entry)
+    return entry
+
+
+def referrers(checker):
+    return checker.metrics.gauge("refchecker.referrers")
+
+
 def timings():
     parsed, _ = make_parsed(sample_docs.CONSENSUS_NS, ManualClock(ts(19, 5)))
     return docparse.extract_timings(parsed)
 
 
 class TestStartingPoints:
-    def test_accepts_status_documents(self, checker, clock):
+    def test_accepts_status_documents(self, archive, checker):
         for body in (
             sample_docs.VOTE,
             sample_docs.CONSENSUS_NS,
             sample_docs.CONSENSUS_MD,
             sample_docs.SAMPLE_DETACHED_SIGNATURE,
+            sample_docs.SERVER_DESCRIPTOR,
         ):
-            parsed, _ = make_parsed(body, clock)
-            checker.add_starting_point(parsed)
-        assert checker.starting_point_count() == 4
+            admit(archive, checker, body)
+        assert referrers(checker) == 5
 
-    def test_rejects_descriptor_types(self, checker, clock):
-        for body in (sample_docs.SERVER_DESCRIPTOR, sample_docs.MICRODESCRIPTOR):
-            parsed, _ = make_parsed(body, clock)
+    def test_rejects_descriptor_types(self, archive, checker):
+        for body in (sample_docs.EXTRA_INFO, sample_docs.MICRODESCRIPTOR):
             with pytest.raises(WrongDocType):
-                checker.add_starting_point(parsed)
+                admit(archive, checker, body)
 
-    def test_duplicate_add_keeps_one_entry(self, checker, clock):
+    def test_duplicate_add_keeps_one_entry(self, archive, checker, clock):
+        entry = admit(archive, checker, sample_docs.VOTE)
         parsed, _ = make_parsed(sample_docs.VOTE, clock)
-        checker.add_starting_point(parsed)
-        checker.add_starting_point(parsed)
-        assert checker.starting_point_count() == 1
+        checker.add_referrer(parsed, entry)
+        assert referrers(checker) == 1
 
-    def test_prune_window_boundaries(self, checker, clock):
-        parsed, _ = make_parsed(sample_docs.VOTE, clock)
-        checker.add_starting_point(parsed)  # added at 19:05
+    def test_prune_window_boundaries(self, archive, checker):
+        admit(archive, checker, sample_docs.VOTE)  # added at 19:05
 
         assert checker.prune(now=ts(22, 4)) == 0      # 2h59m old: kept
         assert checker.prune(now=ts(22, 5)) == 0      # exactly 3h: still kept
         assert checker.prune(now=ts(22, 5, 1)) == 1   # 3h1s old: gone
         assert checker.prune(now=ts(22, 5, 1)) == 0   # idempotent
-        assert checker.starting_point_count() == 0
+        assert referrers(checker) == 0
 
     def test_load_from_archive_seeds_recent_statuses(self, archive, clock):
         for body in (sample_docs.VOTE, sample_docs.CONSENSUS_NS,
-                     sample_docs.SERVER_DESCRIPTOR):
+                     sample_docs.SERVER_DESCRIPTOR, sample_docs.EXTRA_INFO):
             archive.store(docparse.make_raw(body, "test", clock.now()))
         fresh = ReferenceChecker(archive, clock, authorities=AUTHS)
-        assert fresh.load_from_archive() == 2  # the descriptor is not a status
+        assert fresh.load_from_archive() == 3  # extra-info references nothing
 
         clock.set(ts(23, 30))  # stored 4h25m ago now
         later = ReferenceChecker(archive, clock, authorities=AUTHS)
         assert later.load_from_archive() == 0
+
+    def test_reloaded_descriptor_still_wants_its_extra_info(self, archive, clock):
+        archive.store(docparse.make_raw(sample_docs.SERVER_DESCRIPTOR, "test", clock.now()))
+        restarted = ReferenceChecker(archive, clock, authorities=AUTHS)
+        restarted.load_from_archive()
+        pending = restarted.expectations()
+        assert [p.digests.sha1_hex for p in pending] == [sample_docs.EXTRA_INFO_SHA1]
 
 
 class TestGuessing:
@@ -144,7 +162,6 @@ class TestGuessing:
         # Nothing got archived; at 20:00 both windows for that period close.
         late = checker.guess_period_documents(now=ts(20, 0), timings=tm)
         assert checker.permanently_missed_count() == 6  # 3 votes + 3 sigs
-        assert checker.is_missed(DocumentIdentifier(DocType.Vote, AUTHS[0], ts(20, 0)))
 
         # Missed documents are never guessed again; only the new period's
         # consensus flavors come back (votes/sigs windows not open yet, and
@@ -153,25 +170,21 @@ class TestGuessing:
         assert types == [DocType.ConsensusNs, DocType.ConsensusMicrodesc]
         assert {g.datetime for g in late} == {ts(20, 0)}
 
+        # Not even from inside their windows again.
+        again = checker.guess_period_documents(now=ts(19, 55), timings=tm)
+        assert [g.doctype for g in again] == [DocType.ConsensusNs,
+                                              DocType.ConsensusMicrodesc]
+
         # The unfetched 19:00 flavors expire with their validity window.
         checker.guess_period_documents(now=ts(22, 0), timings=tm)
         assert checker.permanently_missed_count() == 8
 
-    def test_note_missed_external_decision(self, checker):
-        ident = DocumentIdentifier(DocType.Vote, AUTHS[1], ts(21, 0))
-        assert not checker.is_missed(ident)
-        checker.note_missed(ident)
-        checker.note_missed(ident)  # counted once
-        assert checker.is_missed(ident)
-        assert checker.permanently_missed_count() == 1
-
 
 class TestExpectations:
-    def test_order_and_archive_filtering(self, archive, checker, clock):
-        for body in (sample_docs.VOTE, sample_docs.SAMPLE_DETACHED_SIGNATURE):
-            parsed, _ = make_parsed(body, clock)
-            checker.add_starting_point(parsed)
-        archive.store(docparse.make_raw(sample_docs.SERVER_DESCRIPTOR, "test", clock.now()))
+    def test_order_and_archive_filtering(self, archive, checker):
+        for body in (sample_docs.VOTE, sample_docs.SAMPLE_DETACHED_SIGNATURE,
+                     sample_docs.SERVER_DESCRIPTOR):
+            admit(archive, checker, body)
 
         pending = checker.expectations()
         kinds = [p.doctype for p in pending]
@@ -192,7 +205,7 @@ class TestExpectations:
         assert checker.metrics.gauge("refchecker.expectations_pending") == 6
 
     def test_extra_info_follows_archived_descriptors(self, archive, checker, clock):
-        archive.store(docparse.make_raw(sample_docs.SERVER_DESCRIPTOR, "test", clock.now()))
+        admit(archive, checker, sample_docs.SERVER_DESCRIPTOR)
         pending = checker.expectations()
         assert [p.doctype for p in pending] == [DocType.ExtraInfoDescriptor]
         assert pending[0].digests.sha1_hex == sample_docs.EXTRA_INFO_SHA1
@@ -201,18 +214,34 @@ class TestExpectations:
         assert checker.expectations() == []
 
     def test_descriptors_age_out_of_the_walk(self, archive, checker, clock):
-        archive.store(docparse.make_raw(sample_docs.SERVER_DESCRIPTOR, "test", clock.now()))
+        admit(archive, checker, sample_docs.SERVER_DESCRIPTOR)
         clock.set(clock.now() + timedelta(hours=4))
         assert checker.expectations() == []
 
-    def test_duplicate_references_collapse(self, archive, checker, clock):
+    def test_duplicate_references_collapse(self, archive, checker):
         # The ns consensus and the vote both point at the same descriptor.
         for body in (sample_docs.VOTE, sample_docs.CONSENSUS_NS):
-            parsed, _ = make_parsed(body, clock)
-            checker.add_starting_point(parsed)
+            admit(archive, checker, body)
         pending = checker.expectations()
         sds = [p for p in pending if p.doctype is DocType.ServerDescriptor]
         assert len(sds) == 3  # not 5: two shared digests counted once
+
+    def test_references_extracted_once_per_referrer(self, archive, checker, monkeypatch):
+        calls = []
+        extract = docparse.extract_references
+
+        def counting(parsed, metrics=None):
+            calls.append(parsed.doctype)
+            return extract(parsed, metrics)
+
+        monkeypatch.setattr(docparse, "extract_references", counting)
+        for body in (sample_docs.VOTE, sample_docs.SERVER_DESCRIPTOR):
+            admit(archive, checker, body)
+        archive.store(docparse.make_raw(sample_docs.CONSENSUS_NS, "test", checker.clock.now()))
+        first = checker.expectations()
+        for _ in range(3):
+            assert checker.expectations() == first
+        assert calls == [DocType.Vote, DocType.ServerDescriptor]
 
 
 class TestAttemptLedger:
@@ -231,12 +260,6 @@ class TestAttemptLedger:
         # Phase change clears the whole ledger.
         assert checker.record_attempt(self.d(1), "auth-0", beta)
         assert not checker.record_attempt(self.d(1), "auth-0", beta)
-
-    def test_reset_phase_clears(self, checker):
-        tag = (7, Phase.Beta)
-        assert checker.record_attempt(self.d(1), "s", tag)
-        checker.reset_phase(tag)
-        assert checker.record_attempt(self.d(1), "s", tag)
 
     def test_digestless_documents_keyed_by_period(self, checker):
         a = DocumentIdentifier(DocType.Vote, AUTHS[0], ts(20, 0))

@@ -13,7 +13,6 @@ from dircollect.scheduler import (
     Scheduler,
     compute_schedule,
     next_daily,
-    next_phase_change,
     phase_at,
     phase_token,
 )
@@ -72,12 +71,6 @@ def test_phase_token_distinguishes_periods():
     b = phase_token(ts(21, 0), TIMINGS)
     assert a[1] is b[1] is Phase.Alpha
     assert a[0] != b[0]
-
-
-def test_next_phase_change():
-    assert next_phase_change(ts(19, 55), TIMINGS) == ts(20, 30)
-    assert next_phase_change(ts(20, 40), TIMINGS) == ts(20, 52, 30)
-    assert next_phase_change(ts(19, 55), None) is None
 
 
 def _oracle_phase(t, timings):
@@ -150,12 +143,17 @@ def test_bootstrap_retries_with_backoff(loop):
         if len(attempts) < 3:
             raise RuntimeError("authority unreachable")
 
+    def failures():
+        return sched.metrics.counter("scheduler.failures.bootstrap")
+
     sched.add_bootstrap(flaky)
     assert _wait_for(lambda: len(attempts) == 1)
+    assert _wait_for(lambda: failures() == 1)  # the retry time is set by now
     clock.advance(4)  # below the 5 s backoff: nothing yet
     assert not _wait_for(lambda: len(attempts) > 1, timeout=0.3)
     clock.advance(2)
     assert _wait_for(lambda: len(attempts) == 2)
+    assert _wait_for(lambda: failures() == 2)
     clock.advance(10)  # second failure backs off to 10 s
     assert _wait_for(lambda: len(attempts) == 3)
     assert _wait_for(lambda: "bootstrap" in sched.completions())
@@ -233,3 +231,15 @@ def test_completion_records(loop):
     sched.add_interval("quick", lambda: None, every_seconds=30)
     assert _wait_for(lambda: "quick" in sched.completions())
     assert sched.completions()["quick"] >= ts(19, 0)
+
+
+def test_finished_job_threads_are_dropped(loop):
+    clock, sched = loop
+    runs = []
+    sched.add_interval("tick", lambda: runs.append(clock.now()), every_seconds=30)
+    for n in range(1, 51):
+        assert _wait_for(lambda: len(runs) == n)
+        assert _wait_for(lambda: sched.completions().get("tick") == clock.now())
+        clock.advance(30)
+    assert _wait_for(lambda: len(runs) == 51)
+    assert len(sched._threads) <= 2
