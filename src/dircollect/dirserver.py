@@ -186,6 +186,9 @@ class DirServer:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # headers and body go out as two writes; with Nagle on, the body would
+    # wait for the client's delayed ACK on every keep-alive response
+    disable_nagle_algorithm = True
 
     def do_GET(self):  # noqa: N802 (http.server API)
         srv: DirServer = self.server.dirserver

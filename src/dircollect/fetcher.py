@@ -132,12 +132,15 @@ class Fetcher:
 
     def get(self, server: ServerEndpoint, path: str) -> bytes:
         """One GET, decompressed and size-capped. Raises on any failure."""
-        url = f"http://{server.address}{path}"
+        return self._get_url(f"http://{server.address}{path}", server.server_id)
+
+    def _get_url(self, url: str, server_id: str) -> bytes:
+        """The one transport: in-flight limits, size cap, error mapping."""
         request = urllib.request.Request(
             url, headers={"Accept-Encoding": "gzip, deflate"}
         )
         self.metrics.incr("fetcher.requests")
-        with self._global, self._server_sem(server.server_id):
+        with self._global, self._server_sem(server_id):
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                     length = resp.headers.get("Content-Length")
@@ -147,25 +150,25 @@ class Fetcher:
                     encoding = resp.headers.get("Content-Encoding", "")
             except urllib.error.HTTPError as exc:
                 self.metrics.incr("fetcher.errors")
-                raise HttpError(exc.code, server_id=server.server_id) from exc
+                raise HttpError(exc.code, server_id=server_id) from exc
             except (socket.timeout, TimeoutError) as exc:
                 self.metrics.incr("fetcher.timeouts")
                 raise FetchTimeout(
-                    f"{url} after {self.timeout}s", server_id=server.server_id
+                    f"{url} after {self.timeout}s", server_id=server_id
                 ) from exc
             except urllib.error.URLError as exc:
                 if isinstance(exc.reason, (socket.timeout, TimeoutError)):
                     self.metrics.incr("fetcher.timeouts")
                     raise FetchTimeout(
-                        f"{url} after {self.timeout}s", server_id=server.server_id
+                        f"{url} after {self.timeout}s", server_id=server_id
                     ) from exc
                 self.metrics.incr("fetcher.errors")
                 raise FetchError(
-                    f"{url}: {exc.reason}", server_id=server.server_id
+                    f"{url}: {exc.reason}", server_id=server_id
                 ) from exc
             except (http.client.HTTPException, ConnectionError, OSError) as exc:
                 self.metrics.incr("fetcher.errors")
-                raise FetchError(f"{url}: {exc}", server_id=server.server_id) from exc
+                raise FetchError(f"{url}: {exc}", server_id=server_id) from exc
         if len(body) > self.max_body:
             raise TooLarge(f"{url}: body exceeds {self.max_body} bytes")
         body = self._decode(body, encoding, url)
@@ -311,24 +314,11 @@ class Fetcher:
         else that goes wrong is worth trying again later (TransientError).
         """
         url = f"{base_url.rstrip('/')}/{source}-{size}-{day.isoformat()}.tpf"
-        request = urllib.request.Request(
-            url, headers={"Accept-Encoding": "gzip, deflate"}
-        )
-        self.metrics.incr("fetcher.requests")
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                body = resp.read(self.max_body + 1)
-                encoding = resp.headers.get("Content-Encoding", "")
-        except urllib.error.HTTPError as exc:
-            if exc.code in (404, 410):
+            body = self._get_url(url, base_url)
+        except FetchError as exc:
+            if isinstance(exc, HttpError) and exc.status in (404, 410):
                 raise PermanentMiss(url) from exc
-            raise TransientError(f"{url}: HTTP {exc.code}") from exc
-        except (socket.timeout, TimeoutError, urllib.error.URLError,
-                http.client.HTTPException, ConnectionError, OSError) as exc:
-            raise TransientError(f"{url}: {exc}") from exc
-        if len(body) > self.max_body:
-            raise TooLarge(url)
-        return docparse.make_raw(
-            self._decode(body, encoding, url), base_url, self.clock.now(),
-            DocType.TorperfResults,
-        )
+            raise TransientError(str(exc), server_id=base_url) from exc
+        return docparse.make_raw(body, base_url, self.clock.now(),
+                                 DocType.TorperfResults)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from typing import Callable
 from urllib.parse import urlsplit
 
@@ -23,7 +23,7 @@ from .docmodel import DigestSet, DocType, DocumentIdentifier, RawDocument
 from .errors import CollectorError, FetchError, PermanentMiss, PluginInitError
 from .fetcher import ONIONPERF_SIZES, Fetcher, ServerEndpoint
 from .metrics import Metrics
-from .refchecker import REFERRER_TYPES, ReferenceChecker
+from .refchecker import REFERRER_TYPES, REFERRER_WINDOW, ReferenceChecker
 from .scheduler import Phase, Scheduler
 
 log = logging.getLogger("dircollect.plugins")
@@ -35,6 +35,8 @@ _BATCH_TYPES = frozenset({
     DocType.ExtraInfoDescriptor,
     DocType.Microdescriptor,
 })
+
+_CONSENSUS_TYPES = frozenset({DocType.ConsensusNs, DocType.ConsensusMicrodesc})
 
 FetchResult = list[tuple[DocumentIdentifier | None, RawDocument]]
 
@@ -93,6 +95,9 @@ class Plugin:
 
     def admit(self, raw: RawDocument, entry: ArchiveEntry) -> None:
         """Called by the host once for each newly archived document."""
+
+    def seed(self) -> None:
+        """Called once at start to adopt what a previous run archived."""
 
     def register_jobs(self, scheduler: Scheduler) -> None:
         """Hook for plugins that want scheduler time."""
@@ -210,7 +215,11 @@ class RelayDescsPlugin(Plugin):
                                    self.greedy_interval)
 
     def bootstrap(self) -> None:
-        """First consensus; raising lets the scheduler back off and retry."""
+        """First consensus; raising lets the scheduler back off and retry.
+
+        The consensus is adopted through `admit`, so one that is no longer
+        valid sets no schedule and the next authority is asked.
+        """
         if self.scheduler.timings is not None:
             return
         assert self.host is not None
@@ -223,19 +232,12 @@ class RelayDescsPlugin(Plugin):
                          server.server_id, exc)
                 failures += 1
                 continue
-            if raw.doctype not in (DocType.ConsensusNs, DocType.ConsensusMicrodesc):
-                failures += 1
-                continue
-            self.host.store(self, raw)
-            try:
-                self.scheduler.set_timings(docparse.extract_timings(
-                    docparse.parse(raw), *self.assumed_delays))
-            except CollectorError as exc:
-                log.warning("event=bootstrap_bad_consensus server=%s error=%r",
-                            server.server_id, exc)
-                failures += 1
-                continue
-            return
+            if raw.doctype in _CONSENSUS_TYPES and not self.host.store(self, raw):
+                self.admit(raw, self.archive.find_by_digests(raw.digests))
+            if self.scheduler.timings is not None:
+                return
+            log.warning("event=bootstrap_no_timings server=%s", server.server_id)
+            failures += 1
         raise FetchError(f"bootstrap failed against {failures} authorities")
 
     def bootstrap_and_check(self):
@@ -342,7 +344,7 @@ class RelayDescsPlugin(Plugin):
                 return []
             return self._fetch_from_authority(
                 docid, self.fetcher.fetch_next_bandwidth)
-        if t in (DocType.ConsensusNs, DocType.ConsensusMicrodesc):
+        if t in _CONSENSUS_TYPES:
             if docid.digests.empty:
                 return self._fetch_current(docid)
             return self._fetch_consensus_by_digest(docid)
@@ -353,6 +355,8 @@ class RelayDescsPlugin(Plugin):
         raise FetchError(f"relaydescs cannot fetch {docid.key()}")
 
     def admit(self, raw: RawDocument, entry: ArchiveEntry) -> None:
+        """Make a status or server descriptor a referrer; a consensus that
+        is still valid also sets the schedule. Idempotent."""
         if raw.doctype not in REFERRER_TYPES:
             return
         try:
@@ -362,13 +366,30 @@ class RelayDescsPlugin(Plugin):
                         entry.path, exc)
             return
         self.refchecker.add_referrer(parsed, entry)
-        if raw.doctype in (DocType.ConsensusNs, DocType.ConsensusMicrodesc):
+        if raw.doctype in _CONSENSUS_TYPES:
             try:
-                self.scheduler.set_timings(
-                    docparse.extract_timings(parsed, *self.assumed_delays))
+                timings = docparse.extract_timings(parsed, *self.assumed_delays)
+                if timings.valid_until > self.clock.now():
+                    self.scheduler.set_timings(timings)
             except CollectorError as exc:
                 log.warning("event=timings_rejected path=%s error=%r",
                             entry.path, exc)
+
+    def seed(self) -> None:
+        """Re-admit the statuses and server descriptors stored within the
+        referrer window, as if they had just arrived."""
+        now = self.clock.now()
+        for entry in self.archive.entries():
+            if (entry.doctype not in REFERRER_TYPES
+                    or now - entry.stored_at > REFERRER_WINDOW):
+                continue
+            try:
+                raw = self.archive.load_entry(entry)
+            except (CollectorError, OSError) as exc:
+                log.warning("event=referrer_unloadable path=%s error=%r",
+                            entry.path, exc)
+                continue
+            self.admit(raw, entry)
 
     # -- fetch strategies ------------------------------------------------------
 
@@ -505,7 +526,9 @@ class OnionPerfPlugin(Plugin):
         self.clock = context.clock
         self.metrics = context.metrics
         self.host: PluginHost | None = None
-        self._missed: set[str] = set()
+        #: permanently missed measurement file -> its day; days older
+        #: than RETAIN_DAYS are never expected again, so they are dropped
+        self._missed: dict[str, date] = {}
         self._lock = threading.Lock()
 
     def register_jobs(self, scheduler: Scheduler) -> None:
@@ -517,16 +540,18 @@ class OnionPerfPlugin(Plugin):
 
     def expectations(self) -> list[DocumentIdentifier]:
         today = self.clock.now().date()
+        oldest = today - timedelta(days=self.RETAIN_DAYS)
+        with self._lock:
+            self._missed = {key: day for key, day in self._missed.items()
+                            if day >= oldest}
+            missed = set(self._missed)
         out: list[DocumentIdentifier] = []
         for source in sorted(self.hosts):
             for size in self.sizes:
                 for back in range(1, self.RETAIN_DAYS + 1):
                     ident = self._ident(source, size,
                                         today - timedelta(days=back))
-                    with self._lock:
-                        if ident.key() in self._missed:
-                            continue
-                    if not self.archive.contains(ident):
+                    if ident.key() not in missed and not self.archive.contains(ident):
                         out.append(ident)
         return out
 
@@ -540,15 +565,15 @@ class OnionPerfPlugin(Plugin):
                 base, source, int(size), docid.datetime.date())
         except PermanentMiss:
             with self._lock:
-                self._missed.add(docid.key())
+                self._missed[docid.key()] = docid.datetime.date()
             self.metrics.incr("onionperf.permanent_misses")
             log.info("event=permanent_miss doc=%s", docid.key())
             raise
         return [raw]
 
     def permanently_missed_count(self) -> int:
-        with self._lock:
-            return len(self._missed)
+        """Files missed for good since start, pruned or not."""
+        return self.metrics.counter("onionperf.permanent_misses")
 
     @staticmethod
     def _ident(source: str, size: int, day) -> DocumentIdentifier:

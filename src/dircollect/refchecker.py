@@ -21,7 +21,7 @@ from . import docparse
 from .archive import Archive, ArchiveEntry
 from .clock import Clock
 from .docmodel import ConsensusTimings, DocType, DocumentIdentifier
-from .errors import CollectorError, WrongDocType
+from .errors import WrongDocType
 from .metrics import Metrics
 
 log = logging.getLogger("dircollect.refchecker")
@@ -79,7 +79,8 @@ class ReferenceChecker:
         self._lock = threading.RLock()
         self._referrers: dict[str, _Referrer] = {}
         self._guessed: dict[str, _Guess] = {}
-        self._missed: set[str] = set()
+        #: permanently missed guess -> the end of its window
+        self._missed: dict[str, datetime] = {}
         self._attempts: set[tuple[str, str]] = set()
         self._phase_tag: object = None
 
@@ -101,26 +102,6 @@ class ReferenceChecker:
             self._referrers.setdefault(entry.path, _Referrer(refs, entry.stored_at))
             self.metrics.set_gauge("refchecker.referrers", len(self._referrers))
 
-    def load_from_archive(self, now: datetime | None = None) -> int:
-        """Re-seed referrers from the last 3 h of archived statuses and
-        server descriptors."""
-        now = now or self.clock.now()
-        loaded = 0
-        for entry in self.archive.entries():
-            if entry.doctype not in REFERRER_TYPES:
-                continue
-            if now - entry.stored_at > REFERRER_WINDOW:
-                continue
-            try:
-                parsed = docparse.parse(self.archive.load_entry(entry))
-            except (CollectorError, OSError) as exc:
-                log.warning("event=referrer_unloadable path=%s error=%r",
-                            entry.path, exc)
-                continue
-            self.add_referrer(parsed, entry)
-            loaded += 1
-        return loaded
-
     def prune(self, now: datetime | None = None) -> int:
         now = now or self.clock.now()
         with self._lock:
@@ -130,6 +111,9 @@ class ReferenceChecker:
             ]
             for key in stale:
                 del self._referrers[key]
+            for key in [key for key, end in self._missed.items()
+                        if now - end > REFERRER_WINDOW]:
+                del self._missed[key]
             self.metrics.set_gauge("refchecker.referrers", len(self._referrers))
         return len(stale)
 
@@ -203,13 +187,13 @@ class ReferenceChecker:
             for key, guess in expired:
                 del self._guessed[key]
                 if not self.archive.contains(guess.ident):
-                    self._missed.add(key)
+                    self._missed[key] = guess.window_end
                     self.metrics.incr("refchecker.permanently_missed")
                     log.info("event=permanently_missed key=%s", key)
 
     def permanently_missed_count(self) -> int:
-        with self._lock:
-            return len(self._missed)
+        """Guesses missed for good since start, pruned or not."""
+        return self.metrics.counter("refchecker.permanently_missed")
 
     # -- expectations -------------------------------------------------------------
 

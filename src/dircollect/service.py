@@ -19,11 +19,10 @@ from pathlib import Path
 
 import yaml
 
-from . import docparse
 from .archive import Archive, index_json_bytes
 from .clock import Clock, SystemClock
 from .dirserver import DirServer
-from .docmodel import DocType, fmt_ts
+from .docmodel import fmt_ts
 from .errors import CollectorError, ConfigError
 from .fetcher import Fetcher, Role, ServerEndpoint
 from .metrics import Metrics
@@ -180,37 +179,16 @@ class Service:
     # -- lifecycle -------------------------------------------------------------
 
     def seed_from_archive(self) -> None:
-        """Adopt whatever a previous run left behind: recent statuses and
-        server descriptors become referrers again, and a still-valid
-        consensus restores the schedule without waiting for bootstrap."""
-        now = self.clock.now()
-        self.refchecker.load_from_archive(now)
-        voting = self.config.settings.get("voting", {})
-        assumed = (
-            int(voting.get("assumed_vote_seconds", 300)),
-            int(voting.get("assumed_dist_seconds", 300)),
-        )
-        consensuses = [
-            e for e in self.archive.entries()
-            if e.doctype in (DocType.ConsensusNs, DocType.ConsensusMicrodesc)
-        ]
-        for entry in sorted(consensuses, key=lambda e: e.doc_datetime,
-                            reverse=True):
-            try:
-                parsed = docparse.parse(self.archive.load_entry(entry))
-                timings = docparse.extract_timings(parsed, *assumed)
-            except CollectorError as exc:
-                log.warning("event=seed_skipped path=%s error=%r",
-                            entry.path, exc)
-                continue
-            if timings.valid_until > now:
-                self.scheduler.set_timings(timings)
-            break  # newest only; if it expired, bootstrap refetches
+        """Adopt whatever a previous run left behind (see `Plugin.seed`)."""
+        for plugin in self.plugins:
+            plugin.seed()
 
     def start(self) -> None:
-        self.seed_from_archive()
+        # jobs first, so a schedule restored from the archive places the
+        # eager jobs at once instead of at the next consensus
         for plugin in self.plugins:
             plugin.register_jobs(self.scheduler)
+        self.seed_from_archive()
         self.scheduler.start()
         self.dirserver.start()
         self._started = True

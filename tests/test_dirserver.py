@@ -1,7 +1,9 @@
 """Tests for re-serving archived documents."""
 
 import gzip
+import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 from datetime import datetime, timedelta, timezone
@@ -171,6 +173,22 @@ class TestMeta:
         with get(server, "/tor/status-vote/current/consensus", gzip_ok=True) as resp:
             assert resp.headers.get("Content-Encoding") == "gzip"
             assert gzip.decompress(resp.read()) == sample_docs.CONSENSUS_NS
+
+    def test_keep_alive_responses_do_not_wait_for_acks(self, server):
+        # headers and body are two writes; with Nagle on, each response
+        # stalls ~40 ms on the client's delayed ACK
+        host, _, port = server.address.rpartition(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/status")
+                resp = conn.getresponse()
+                assert resp.status == 200 and resp.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.4
 
     def test_unknown_path_404(self, server):
         assert get_code(server, "/nothing/here") == 404

@@ -325,6 +325,12 @@ class _MeasurementHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
+        elif self.path == "/hold":
+            self.server.held.set()
+            self.server.release.wait(10)
+            self.send_response(200)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
         elif self.path.startswith("/boom-"):
             self.send_response(503)
             self.send_header("Content-Length", "0")
@@ -345,12 +351,16 @@ TPF = (b"BUILDTIMES=0.3 DATACOMPLETE=1542305002.91 FILESIZE=51200 "
 @pytest.fixture
 def file_server():
     """A plain HTTP server; tests fill ``files`` with path -> body or
-    path -> (body, Content-Encoding)."""
+    path -> (body, Content-Encoding). A GET of /hold is answered only
+    once ``release`` is set."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _MeasurementHandler)
     server.files = {}
+    server.held = threading.Event()  # a GET of /hold has arrived
+    server.release = threading.Event()  # ... and may now be answered
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
+    server.release.set()
     server.shutdown()
     server.server_close()
 
@@ -427,3 +437,23 @@ class TestOnionperf:
         file_server.files["/op-x-51200-2018-11-13.tpf"] = (zlib.compress(TPF), "deflate")
         raw = fetcher.fetch_onionperf(host, "op-x", 51200, date(2018, 11, 13))
         assert raw.body == TPF
+
+    def test_waits_for_the_global_limit(self, host, file_server, clock):
+        single = Fetcher(clock, timeout=5.0, global_inflight=1)
+        endpoint = ServerEndpoint("files", host.removeprefix("http://"))
+        holder = threading.Thread(target=single.get, args=(endpoint, "/hold"))
+        holder.start()
+        fetched = threading.Event()
+
+        def fetch():
+            single.fetch_onionperf(host, "op-x", 51200, date(2018, 11, 14))
+            fetched.set()
+
+        try:
+            assert file_server.held.wait(5)
+            threading.Thread(target=fetch, daemon=True).start()
+            assert not fetched.wait(0.5)
+        finally:
+            file_server.release.set()
+            holder.join(5)
+        assert fetched.wait(5)

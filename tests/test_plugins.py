@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import sample_docs
 from dircollect import docparse
 from dircollect.archive import Archive
 from dircollect.clock import ManualClock
@@ -232,6 +233,49 @@ class TestBootstrap:
         rig.plugin.bootstrap()
         assert len(net.requests()) == before
 
+    def test_bootstrap_admits_an_already_archived_consensus(self, rig, net):
+        # stored without admission, as `dircollect import` does
+        rig.archive.store(docparse.make_raw(
+            net.periods[0].consensus_ns, "import", rig.context.clock.now()))
+        rig.plugin.bootstrap()
+        assert rig.scheduler.timings.valid_after == ts(19)
+        assert rig.metrics.gauge("refchecker.referrers") == 1
+
+    def test_expired_consensus_sets_no_timings(self, rig, net, clock):
+        raw = docparse.make_raw(net.periods[0].consensus_ns, "test", clock.now())
+        entry = rig.archive.store(raw)
+        clock.set(ts(22, 0))  # its valid-until
+        rig.plugin.admit(raw, entry)
+        assert rig.scheduler.timings is None
+        assert rig.metrics.gauge("refchecker.referrers") == 1
+
+
+class TestSeed:
+    def test_seed_readmits_recent_statuses(self, tmp_path, clock, net):
+        archive = Archive(tmp_path / "data", clock)
+        for body in (sample_docs.VOTE, sample_docs.CONSENSUS_NS,
+                     sample_docs.SERVER_DESCRIPTOR, sample_docs.EXTRA_INFO):
+            archive.store(docparse.make_raw(body, "test", clock.now()))
+        fresh = build_rig(tmp_path, clock, net)
+        fresh.plugin.seed()
+        # extra-info references nothing
+        assert fresh.metrics.gauge("refchecker.referrers") == 3
+        assert fresh.scheduler.timings.valid_after == ts(19)
+
+        clock.set(ts(23, 30))  # stored 4h25m ago now
+        later = build_rig(tmp_path, clock, net)
+        later.plugin.seed()
+        assert later.metrics.gauge("refchecker.referrers") == 0
+        assert later.scheduler.timings is None
+
+    def test_reseeded_descriptor_still_wants_its_extra_info(self, tmp_path, clock, net):
+        archive = Archive(tmp_path / "data", clock)
+        archive.store(docparse.make_raw(sample_docs.SERVER_DESCRIPTOR, "test", clock.now()))
+        restarted = build_rig(tmp_path, clock, net)
+        restarted.plugin.seed()
+        pending = restarted.refchecker.expectations()
+        assert [p.digests.sha1_hex for p in pending] == [sample_docs.EXTRA_INFO_SHA1]
+
 
 class TestEagerTasks:
     def test_eager_votes_fetches_each_authority_once(self, rig, net, clock):
@@ -446,6 +490,16 @@ class TestOnionPerf:
         assert len(missing) == 1
         assert rig.plugin.permanently_missed_count() == 1
         assert rig.archive.counts() == {"torperf": 3}  # day 16 arrived on the 17th
+
+    def test_missed_days_age_out_of_the_ledger(self, tmp_path, tpf_host):
+        clock = ManualClock(ts(0, 20, day=16))
+        rig = perf_rig(tmp_path, clock, tpf_host)
+        rig.plugin.collect()  # days 13-15, none served
+        clock.set(ts(0, 20, day=20))
+        rig.plugin.collect()  # days 17-19, none served
+        assert rig.plugin.permanently_missed_count() == 6
+        assert sorted(rig.plugin._missed) == [
+            f"torperf|op-ab-51200|2018-11-{day} 00:00:00" for day in (17, 18, 19)]
 
     def test_requires_hosts(self, tmp_path, clock):
         archive = Archive(tmp_path / "data", clock)

@@ -94,24 +94,6 @@ class TestStartingPoints:
         assert checker.prune(now=ts(22, 5, 1)) == 0   # idempotent
         assert referrers(checker) == 0
 
-    def test_load_from_archive_seeds_recent_statuses(self, archive, clock):
-        for body in (sample_docs.VOTE, sample_docs.CONSENSUS_NS,
-                     sample_docs.SERVER_DESCRIPTOR, sample_docs.EXTRA_INFO):
-            archive.store(docparse.make_raw(body, "test", clock.now()))
-        fresh = ReferenceChecker(archive, clock, authorities=AUTHS)
-        assert fresh.load_from_archive() == 3  # extra-info references nothing
-
-        clock.set(ts(23, 30))  # stored 4h25m ago now
-        later = ReferenceChecker(archive, clock, authorities=AUTHS)
-        assert later.load_from_archive() == 0
-
-    def test_reloaded_descriptor_still_wants_its_extra_info(self, archive, clock):
-        archive.store(docparse.make_raw(sample_docs.SERVER_DESCRIPTOR, "test", clock.now()))
-        restarted = ReferenceChecker(archive, clock, authorities=AUTHS)
-        restarted.load_from_archive()
-        pending = restarted.expectations()
-        assert [p.digests.sha1_hex for p in pending] == [sample_docs.EXTRA_INFO_SHA1]
-
 
 class TestGuessing:
     def test_bootstrap_guesses_current_consensus(self, checker):
@@ -178,6 +160,20 @@ class TestGuessing:
         # The unfetched 19:00 flavors expire with their validity window.
         checker.guess_period_documents(now=ts(22, 0), timings=tm)
         assert checker.permanently_missed_count() == 8
+
+    def test_pruning_keeps_the_missed_ledger_to_one_window(self, checker):
+        # A day of guessing with nothing ever served: each hourly period
+        # misses 3 votes, 3 signatures and 2 consensus flavors for good.
+        tm = timings()
+        now = ts(19, 5)
+        while now < ts(19, 5, day=16):
+            checker.guess_period_documents(now=now, timings=tm)
+            checker.prune(now)
+            now += timedelta(minutes=5)
+        assert checker.permanently_missed_count() > 8 * 23
+        # only misses whose window closed in the last 3 h (both ends
+        # included: four periods) are kept
+        assert 0 < len(checker._missed) <= 8 * 4
 
 
 class TestExpectations:

@@ -218,6 +218,21 @@ class TestServiceRun:
             service.stop()
 
 
+    def test_restart_schedules_eager_jobs(self, tmp_path, clock, net):
+        assert Service(sim_config(tmp_path, net), clock=clock).once() > 0
+        restarted = Service(sim_config(tmp_path, net), clock=clock)
+        restarted.start()  # 19:05, with the 19:00 consensus on disk
+        try:
+            clock.set(ts(19, 52, 30))
+            deadline = time.time() + 15
+            while "eager-votes" not in restarted.scheduler.completions():
+                if time.time() > deadline:
+                    pytest.fail("eager-votes never ran after the restart")
+                time.sleep(0.05)
+        finally:
+            restarted.stop()
+
+
 # --- the command line --------------------------------------------------------------
 
 
