@@ -22,9 +22,11 @@ import logging
 import os
 import threading
 import uuid
+from bisect import bisect_left, insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from operator import attrgetter
 from pathlib import Path
 
 from . import docparse
@@ -172,7 +174,8 @@ class Archive:
         self._gate = _FileGate(max_open_files, self.metrics)
         self._lock = threading.RLock()
         self._by_digest: dict[str, ArchiveEntry] = {}
-        self._entries: dict[str, ArchiveEntry] = {}  # keyed by path
+        #: each type's entries in (stored_at, path) order
+        self._by_type: dict[DocType | None, list[ArchiveEntry]] = {}
         self._by_period: dict[tuple[str, str], list[ArchiveEntry]] = {}
         self._recent_run: list[ArchiveEntry] = []
         self._task_status: dict[str, str] = {}
@@ -182,8 +185,14 @@ class Archive:
 
     # -- metadata bookkeeping -------------------------------------------------
 
-    def _register(self, entry: ArchiveEntry) -> None:
-        self._entries[entry.path] = entry
+    def _register(self, entry: ArchiveEntry) -> ArchiveEntry:
+        """Index one entry unless its digests are indexed already (a raced
+        store, a duplicated manifest line); returns the entry kept."""
+        kept = self.find_by_digests(entry.digests)
+        if kept is not None:
+            return kept
+        insort(self._by_type.setdefault(entry.doctype, []), entry,
+               key=attrgetter("stored_at", "path"))
         for digest in (
             entry.digests.sha1_hex,
             entry.digests.sha256_hex,
@@ -193,6 +202,7 @@ class Archive:
                 self._by_digest[digest] = entry
         key = (entry.type_name, fmt_ts(entry.doc_datetime))
         self._by_period.setdefault(key, []).append(entry)
+        return entry
 
     def _load_manifests(self) -> None:
         for manifest in sorted((self.root / "manifest").glob("*.jsonl")):
@@ -279,15 +289,24 @@ class Archive:
         subject = docid.subject if docid.subject else None
         return bool(self.find_period(docid.doctype, docid.datetime, subject))
 
+    def of_type(self, doctype: DocType | None,
+                since: datetime | None = None) -> list[ArchiveEntry]:
+        """One type's entries stored at or after ``since``, oldest first
+        (equal store times in path order)."""
+        with self._lock:
+            found = self._by_type.get(doctype, [])
+            start = 0 if since is None else bisect_left(
+                found, since, key=attrgetter("stored_at"))
+            return found[start:]
+
     def entries(self) -> list[ArchiveEntry]:
         with self._lock:
-            return list(self._entries.values())
+            return [e for found in self._by_type.values() for e in found]
 
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for entry in self.entries():
-            out[entry.type_name] = out.get(entry.type_name, 0) + 1
-        return out
+        with self._lock:
+            return {found[0].type_name: len(found)
+                    for found in self._by_type.values()}
 
     # -- store / load ------------------------------------------------------------
 
@@ -329,10 +348,9 @@ class Archive:
             subject=ident.subject,
         )
         with self._lock:
-            raced = self.find_by_digests(raw.digests)
-            if raced is not None:
-                return raced
-            self._register(entry)
+            kept = self._register(entry)
+            if kept is not entry:
+                return kept
             self._recent_run.append(entry)
         self._append_manifest(entry)
         self.metrics.incr("archive.stored")
@@ -404,7 +422,7 @@ class Archive:
         with self._lock:
             status = dict(self._task_status)
             entries = sorted(
-                self._entries.values(),
+                (e for found in self._by_type.values() for e in found),
                 key=lambda e: (
                     e.type_name,
                     fmt_ts(e.doc_datetime),

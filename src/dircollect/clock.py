@@ -27,9 +27,6 @@ class Clock:
         """Block until ``when`` (clock time) or until ``interrupt`` is set."""
         raise NotImplementedError
 
-    def sleep(self, seconds: float, interrupt: threading.Event | None = None) -> None:
-        self.wait_until(self.now() + timedelta(seconds=seconds), interrupt)
-
 
 class SystemClock(Clock):
     """Real UTC wall clock."""

@@ -14,7 +14,7 @@ import json
 import logging
 import re
 import threading
-from datetime import timedelta
+from datetime import datetime, timedelta
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import docparse
@@ -62,6 +62,9 @@ class DirServer:
         self._port = int(port)
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
+        #: flavor -> (path, valid_until) of the consensus parsed last
+        #: (archive files are content-addressed: a path's bytes never change)
+        self._consensus_validity: dict[DocType, tuple[str, datetime]] = {}
 
     def start(self) -> None:
         self._server = ThreadingHTTPServer((self._host, self._port), _Handler)
@@ -125,10 +128,7 @@ class DirServer:
 
     def _current_consensus(self, flavor: DocType) -> bytes | None:
         now = self.clock.now()
-        candidates = [
-            e for e in self.archive.entries()
-            if e.doctype is flavor and e.doc_datetime <= now
-        ]
+        candidates = [e for e in self.archive.of_type(flavor) if e.doc_datetime <= now]
         if not candidates:
             return None
         # newest first; equal timestamps (a split) break on the digest so
@@ -137,13 +137,17 @@ class DirServer:
             candidates,
             key=lambda e: (e.doc_datetime, e.digests.primary_for(flavor)),
         )
+        validity = self._consensus_validity.get(flavor)
         try:
             raw = self.archive.load_entry(best)
-            timings = docparse.extract_timings(docparse.parse(raw))
+            if validity is None or validity[0] != best.path:
+                validity = (best.path,
+                            docparse.extract_timings(docparse.parse(raw)).valid_until)
+                self._consensus_validity[flavor] = validity
         except CollectorError as exc:
             log.warning("event=consensus_unservable path=%s error=%r", best.path, exc)
             return None
-        if timings.valid_until <= now:
+        if validity[1] <= now:
             return None
         return raw.body
 
@@ -166,16 +170,8 @@ class DirServer:
         return 200, b"".join(bodies), "text/plain"
 
     def _bulk(self, doctype: DocType) -> bytes | None:
-        cutoff = self.clock.now() - BULK_WINDOW
-        recent = sorted(
-            (e for e in self.archive.entries()
-             if e.doctype is doctype and e.stored_at >= cutoff),
-            key=lambda e: (e.stored_at, e.path),
-        )
-        if not recent:
-            return None
         bodies = []
-        for entry in recent:
+        for entry in self.archive.of_type(doctype, self.clock.now() - BULK_WINDOW):
             try:
                 bodies.append(self.archive.load_entry(entry).body)
             except CollectorError as exc:

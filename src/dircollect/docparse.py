@@ -282,15 +282,11 @@ def parse(raw: RawDocument) -> ParsedDocument:
 _STATUS_TYPES = (DocType.Vote, DocType.ConsensusNs, DocType.ConsensusMicrodesc)
 
 
-def extract_timings(
-    parsed: ParsedDocument,
-    assumed_vote_seconds: int | None = None,
-    assumed_dist_seconds: int | None = None,
-) -> ConsensusTimings:
+def extract_timings(parsed: ParsedDocument) -> ConsensusTimings:
     """Read the voting-period timings out of a consensus or vote.
 
-    A status document without a voting-delay line is an error unless the
-    caller supplies assumed delays to fall back on.
+    dir-spec requires exactly one voting-delay line in each, so a status
+    document without one is an error.
     """
     if parsed.doctype not in _STATUS_TYPES:
         raise WrongDocType(f"no timings on {parsed.doctype}")
@@ -305,15 +301,12 @@ def extract_timings(
             raise MissingTimingField(f"unparseable {name}: {value!r}")
     delay = parsed.first("voting-delay")
     if delay is None:
-        if assumed_vote_seconds is None or assumed_dist_seconds is None:
-            raise MissingTimingField("voting-delay")
-        vote_seconds, dist_seconds = assumed_vote_seconds, assumed_dist_seconds
-    else:
-        parts = delay.split()
-        try:
-            vote_seconds, dist_seconds = int(parts[0]), int(parts[1])
-        except (IndexError, ValueError):
-            raise MissingTimingField(f"unparseable voting-delay: {delay!r}")
+        raise MissingTimingField("voting-delay")
+    parts = delay.split()
+    try:
+        vote_seconds, dist_seconds = int(parts[0]), int(parts[1])
+    except (IndexError, ValueError):
+        raise MissingTimingField(f"unparseable voting-delay: {delay!r}")
     return ConsensusTimings(
         fields["valid-after"], fields["fresh-until"], fields["valid-until"],
         vote_seconds, dist_seconds,

@@ -67,6 +67,7 @@ class Plugin:
     host: "PluginHost | None" = None
 
     def expectations(self) -> list[DocumentIdentifier]:
+        """Wanted documents the archive lacks; the host fetches every one."""
         return []
 
     def fetch(self, docid: DocumentIdentifier) -> list[RawDocument]:
@@ -101,6 +102,10 @@ class Plugin:
 
     def register_jobs(self, scheduler: Scheduler) -> None:
         """Hook for plugins that want scheduler time."""
+
+    def permanently_missed_count(self) -> int:
+        """Documents missed for good since start, for `/status`."""
+        return 0
 
     def run_once(self) -> int:
         """One unscheduled collection pass; returns documents stored."""
@@ -140,10 +145,7 @@ class PluginHost:
         """
         total = 0
         for _ in range(max_rounds):
-            pending = [
-                docid for docid in plugin.expectations()
-                if not self.archive.contains(docid)
-            ]
+            pending = plugin.expectations()
             if not pending:
                 break
             pairs, unfetched = plugin.fetch_many(pending)
@@ -196,11 +198,6 @@ class RelayDescsPlugin(Plugin):
         greedy = tasks.get("greedy_discovery", {})
         self.greedy_enabled = bool(greedy.get("enabled", False))
         self.greedy_interval = float(greedy.get("interval_seconds", 3600.0))
-        voting = context.settings.get("voting", {})
-        self.assumed_delays = (
-            int(voting.get("assumed_vote_seconds", 300)),
-            int(voting.get("assumed_dist_seconds", 300)),
-        )
 
     # -- scheduling ----------------------------------------------------------
 
@@ -368,7 +365,7 @@ class RelayDescsPlugin(Plugin):
         self.refchecker.add_referrer(parsed, entry)
         if raw.doctype in _CONSENSUS_TYPES:
             try:
-                timings = docparse.extract_timings(parsed, *self.assumed_delays)
+                timings = docparse.extract_timings(parsed)
                 if timings.valid_until > self.clock.now():
                     self.scheduler.set_timings(timings)
             except CollectorError as exc:
@@ -378,18 +375,19 @@ class RelayDescsPlugin(Plugin):
     def seed(self) -> None:
         """Re-admit the statuses and server descriptors stored within the
         referrer window, as if they had just arrived."""
-        now = self.clock.now()
-        for entry in self.archive.entries():
-            if (entry.doctype not in REFERRER_TYPES
-                    or now - entry.stored_at > REFERRER_WINDOW):
-                continue
-            try:
-                raw = self.archive.load_entry(entry)
-            except (CollectorError, OSError) as exc:
-                log.warning("event=referrer_unloadable path=%s error=%r",
-                            entry.path, exc)
-                continue
-            self.admit(raw, entry)
+        since = self.clock.now() - REFERRER_WINDOW
+        for doctype in REFERRER_TYPES:
+            for entry in self.archive.of_type(doctype, since):
+                try:
+                    raw = self.archive.load_entry(entry)
+                except (CollectorError, OSError) as exc:
+                    log.warning("event=referrer_unloadable path=%s error=%r",
+                                entry.path, exc)
+                    continue
+                self.admit(raw, entry)
+
+    def permanently_missed_count(self) -> int:
+        return self.refchecker.permanently_missed_count()
 
     # -- fetch strategies ------------------------------------------------------
 

@@ -26,13 +26,14 @@ from .metrics import Metrics
 
 log = logging.getLogger("dircollect.refchecker")
 
-REFERRER_TYPES = frozenset({
+#: a tuple, not a set, so a restart re-admits them in the same order each run
+REFERRER_TYPES = (
     DocType.Vote,
     DocType.ConsensusNs,
     DocType.ConsensusMicrodesc,
     DocType.DetachedSignature,
     DocType.ServerDescriptor,
-})
+)
 
 REFERRER_WINDOW = timedelta(hours=3)
 

@@ -173,12 +173,8 @@ class Scheduler:
                 elif job.eager == "task2":
                     job.next_at = _next_occurrence(sched.task2_at, sched.period_seconds, now)
                     job.interval = timedelta(seconds=sched.period_seconds)
-        log.info(
-            "event=timings_adopted valid_after=%r task1=%r task2=%r",
-            fmt_ts(timings.valid_after),
-            fmt_ts(compute_schedule(timings).task1_at),
-            fmt_ts(compute_schedule(timings).task2_at),
-        )
+        log.info("event=timings_adopted valid_after=%r task1=%r task2=%r",
+                 fmt_ts(timings.valid_after), fmt_ts(sched.task1_at), fmt_ts(sched.task2_at))
         self._wake.set()
 
     @property

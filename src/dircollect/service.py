@@ -232,7 +232,8 @@ class Service:
             "counts": self.archive.counts(),
             "expectations_pending": int(
                 self.metrics.gauge("refchecker.expectations_pending")),
-            "permanently_missed": self.refchecker.permanently_missed_count(),
+            "permanently_missed": sum(
+                p.permanently_missed_count() for p in self.plugins),
             "plugins": [p.name for p in self.plugins],
             "jobs": {name: fmt_ts(at) for name, at
                      in sorted(self.scheduler.completions().items())},

@@ -10,6 +10,7 @@ import sample_docs as docs
 from dircollect import docparse
 from dircollect.archive import Archive, entry_path, index_json_bytes
 from dircollect.clock import ManualClock
+from dircollect.dirserver import DirServer
 from dircollect.docmodel import DocType, DocumentIdentifier, parse_ts
 from dircollect.errors import CorruptEntry
 
@@ -168,11 +169,40 @@ def test_torn_manifest_tail_is_dropped(tmp_path, clock):
     assert final.load_entry(final.find_by_digests(added.digests)).body == docs.EXTRA_INFO
 
 
-# --- recent/ ----------------------------------------------------------------
-
-
 def _descriptor_variant(i):
     return docs.SERVER_DESCRIPTOR.replace(b"router demo ", b"router demo%03d " % i)
+
+
+def test_of_type_is_in_store_order_then_path_order(tmp_path, clock):
+    arch = Archive(tmp_path / "data", clock)
+    # filed under December's manifest, but stored first
+    december = store_doc(arch, docs.SERVER_DESCRIPTOR.replace(
+        b"published 2018-11-15", b"published 2018-12-01"))
+    clock.advance(60)
+    same_instant = [store_doc(arch, _descriptor_variant(i)).path for i in range(10)]
+    assert same_instant != sorted(same_instant)
+    expected = [december.path] + sorted(same_instant)
+    for archive in (arch, Archive(tmp_path / "data", clock)):
+        assert [e.path for e in archive.of_type(DocType.ServerDescriptor)] == expected
+        assert [e.path for e in archive.of_type(DocType.ServerDescriptor, clock.now())] \
+            == sorted(same_instant)
+        assert archive.of_type(DocType.ExtraInfoDescriptor) == []
+
+
+def test_duplicated_manifest_line_is_one_entry(tmp_path, clock):
+    arch = Archive(tmp_path / "data", clock)
+    store_doc(arch, docs.SERVER_DESCRIPTOR)
+    (manifest,) = (arch.root / "manifest").glob("*.jsonl")
+    manifest.write_bytes(manifest.read_bytes() * 2)
+
+    reopened = Archive(tmp_path / "data", clock)
+    assert reopened.counts() == {"server-descriptor": 1}
+    assert DirServer(reopened, clock).respond("/tor/server/all")[1] \
+        == docs.SERVER_DESCRIPTOR
+    assert len(reopened.build_index().entries) == 1
+
+
+# --- recent/ ----------------------------------------------------------------
 
 
 def test_recent_snapshot_concatenates_run(arch, clock):

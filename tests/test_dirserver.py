@@ -95,6 +95,16 @@ class TestCurrentConsensus:
     def test_nothing_stored_404(self, server):
         assert get_code(server, "/tor/status-vote/current/consensus") == 404
 
+    def test_each_consensus_is_parsed_once(self, server, archive, clock, monkeypatch):
+        stored(archive, clock, sample_docs.CONSENSUS_NS)
+        parsed = []
+        parse = docparse.parse
+        monkeypatch.setattr(docparse, "parse", lambda raw: parsed.append(raw) or parse(raw))
+        for _ in range(3):
+            assert get_body(server, "/tor/status-vote/current/consensus") \
+                == sample_docs.CONSENSUS_NS
+        assert len(parsed) == 1
+
     def test_expired_404(self, server, archive, clock):
         stored(archive, clock, sample_docs.CONSENSUS_NS)  # valid until 22:00
         clock.set(ts(22, 0))

@@ -1,5 +1,6 @@
 """Plugin host and built-in collector tests against the simulated network."""
 
+import re
 import threading
 from collections import Counter
 from datetime import datetime, timezone
@@ -246,6 +247,14 @@ class TestBootstrap:
         entry = rig.archive.store(raw)
         clock.set(ts(22, 0))  # its valid-until
         rig.plugin.admit(raw, entry)
+        assert rig.scheduler.timings is None
+        assert rig.metrics.gauge("refchecker.referrers") == 1
+
+    def test_consensus_without_voting_delay_sets_no_timings(self, rig, net, clock):
+        body, n = re.subn(rb"voting-delay \d+ \d+\n", b"", net.periods[0].consensus_ns)
+        assert n == 1
+        raw = docparse.make_raw(body, "test", clock.now())
+        rig.plugin.admit(raw, rig.archive.store(raw))
         assert rig.scheduler.timings is None
         assert rig.metrics.gauge("refchecker.referrers") == 1
 

@@ -8,10 +8,12 @@ from datetime import datetime, timezone
 import pytest
 
 import sample_docs
+from dircollect.archive import Archive
 from dircollect.clock import ManualClock, SystemClock
 from dircollect.docmodel import DocType
 from dircollect.errors import ConfigError
 from dircollect.fetcher import Role, ServerEndpoint
+from dircollect.plugins import Plugin
 from dircollect.service import (
     Config,
     Service,
@@ -192,6 +194,34 @@ class TestServiceOnce:
         assert status["valid_after"] == "2018-11-15 19:00:00"
         assert status["counts"]["consensus"] == 1
         assert status["plugins"] == ["relaydescs"]
+
+    def test_routes_status_and_seed_read_no_whole_archive(
+            self, tmp_path, clock, net, monkeypatch):
+        service = Service(sim_config(tmp_path, net), clock=clock)
+        service.once()
+
+        def scan(self):
+            raise AssertionError("Archive.entries() called")
+
+        monkeypatch.setattr(Archive, "entries", scan)
+        for path in ("/tor/status-vote/current/consensus",
+                     "/tor/status-vote/current/consensus-microdesc",
+                     "/tor/server/all", "/tor/extra/all", "/status"):
+            status, body, _ = service.dirserver.respond(path)
+            assert status == 200 and body, path
+        service.seed_from_archive()
+
+    def test_status_sums_misses_over_every_plugin(self, tmp_path, clock):
+        class Missing(Plugin):
+            name = "missing"
+
+            def permanently_missed_count(self):
+                return 2
+
+        service = Service(Config(archive_root=tmp_path / "data", plugins_enabled=[]),
+                          clock=clock)
+        service.plugins.append(Missing())
+        assert service.status()["permanently_missed"] == 2
 
 
 class TestServiceRun:
