@@ -4,7 +4,7 @@ Layout under the root:
 
     archive/<type>/<YYYY>/<MM>/<h0>/<h1>/<digest>          digest-addressed
     archive/<type>/<YYYY>/<MM>/<DD>/<type>-<stamp>-<dig8>  period documents
-    archive/torperf/<YYYY>/<MM>/<source>-<size>-<date>.tpf
+    archive/torperf/<YYYY>/<MM>/<dig8>/<source>-<size>-<date>.tpf
     archive/unrecognized/...                               blobs we kept anyway
     manifest/<YYYY>-<MM>.jsonl                             entry metadata sidecars
     recent/<stamp>-<type>                                  last-72h concatenations
@@ -75,7 +75,8 @@ def entry_path(doctype: DocType | None, subject: str, when: datetime,
         raise ArchiveError("cannot place a document with no digests")
     dirname = doctype.dirname if doctype else UNRECOGNIZED_DIR
     if doctype is DocType.TorperfResults:
-        return f"{dirname}/{when:%Y/%m}/{subject}-{when:%Y-%m-%d}.tpf"
+        # different files can share source, size and day; the digest parts them
+        return f"{dirname}/{when:%Y/%m}/{primary[:8]}/{subject}-{when:%Y-%m-%d}.tpf"
     if doctype is None or doctype in _DIGEST_TYPES:
         name = _pathsafe(primary)
         return f"{dirname}/{when:%Y/%m}/{name[0]}/{name[1]}/{name}"
@@ -176,7 +177,7 @@ class Archive:
         self._by_digest: dict[str, ArchiveEntry] = {}
         #: each type's entries in (stored_at, path) order
         self._by_type: dict[DocType | None, list[ArchiveEntry]] = {}
-        self._by_period: dict[tuple[str, str], list[ArchiveEntry]] = {}
+        self._by_period: dict[tuple[DocType | None, datetime], list[ArchiveEntry]] = {}
         self._recent_run: list[ArchiveEntry] = []
         self._task_status: dict[str, str] = {}
         for sub in ("archive", "manifest", "recent"):
@@ -200,7 +201,7 @@ class Archive:
         ):
             if digest:
                 self._by_digest[digest] = entry
-        key = (entry.type_name, fmt_ts(entry.doc_datetime))
+        key = (entry.doctype, entry.doc_datetime)
         self._by_period.setdefault(key, []).append(entry)
         return entry
 
@@ -275,7 +276,7 @@ class Archive:
     def find_period(self, doctype: DocType, when: datetime,
                     subject: str | None = None) -> list[ArchiveEntry]:
         with self._lock:
-            found = list(self._by_period.get((doctype.dirname, fmt_ts(when)), []))
+            found = list(self._by_period.get((doctype, ensure_utc(when)), []))
         if subject is not None:
             found = [e for e in found if e.subject == subject]
         return found
@@ -425,11 +426,11 @@ class Archive:
                 (e for found in self._by_type.values() for e in found),
                 key=lambda e: (
                     e.type_name,
-                    fmt_ts(e.doc_datetime),
+                    e.doc_datetime,
                     e.digests.primary_for(e.doctype) or "",
                 ),
             )
-        generated = max((fmt_ts(e.stored_at) for e in entries), default=_EPOCH_TS)
+        generated = fmt_ts(max(e.stored_at for e in entries)) if entries else _EPOCH_TS
         return IndexFile(generated, status, tuple(entries))
 
     # -- integrity --------------------------------------------------------------------

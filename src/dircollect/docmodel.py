@@ -17,6 +17,7 @@ from enum import Enum
 from .errors import InvalidTimings, MalformedDocument
 
 TS_FORMAT = "%Y-%m-%d %H:%M:%S"
+_TS = re.compile(r"\d{4}-\d\d-\d\d \d\d:\d\d:\d\d\Z", re.ASCII)
 _HEX40 = re.compile(r"^[0-9A-F]{40}$")
 _HEX64 = re.compile(r"^[0-9A-F]{64}$")
 
@@ -56,7 +57,9 @@ def fmt_ts(dt: datetime) -> str:
 
 
 def parse_ts(text: str) -> datetime:
-    return datetime.strptime(text, TS_FORMAT).replace(tzinfo=timezone.utc)
+    if not _TS.match(text):
+        raise ValueError(f"not a YYYY-MM-DD HH:MM:SS timestamp: {text!r}")
+    return datetime.fromisoformat(text).replace(tzinfo=timezone.utc)
 
 
 def fmt_compact(dt: datetime) -> str:

@@ -19,7 +19,7 @@ from urllib.parse import urlsplit
 from . import docparse
 from .archive import Archive, ArchiveEntry
 from .clock import Clock
-from .docmodel import DigestSet, DocType, DocumentIdentifier, RawDocument
+from .docmodel import DocType, DocumentIdentifier, RawDocument
 from .errors import CollectorError, FetchError, PermanentMiss, PluginInitError
 from .fetcher import ONIONPERF_SIZES, Fetcher, ServerEndpoint
 from .metrics import Metrics
@@ -241,7 +241,7 @@ class RelayDescsPlugin(Plugin):
         """Scheduled bootstrap: chase the fresh consensus's references right
         away instead of waiting out the next reference-check slot."""
         self.bootstrap()
-        self.host.run_cycle(self)
+        self.check_references()
 
     def eager_votes(self) -> None:
         self._fetch_period_guesses({DocType.Vote})
@@ -249,24 +249,23 @@ class RelayDescsPlugin(Plugin):
     def eager_signatures(self) -> None:
         self._fetch_period_guesses({DocType.DetachedSignature})
 
-    def check_references(self) -> None:
+    def check_references(self) -> int:
+        """One reference-check cycle; returns documents stored."""
         assert self.host is not None
         if self.scheduler.timings is None:
             # bootstrap owns discovery (with its own backoff) until a
             # first consensus exists; probing here would double up on it
-            return
+            return 0
         self.refchecker.prune()
-        self.host.run_cycle(self)
+        return self.host.run_cycle(self)
 
     def run_once(self) -> int:
-        assert self.host is not None
         try:
             self.bootstrap()
         except FetchError as exc:
             log.warning("event=bootstrap_failed error=%r", exc)
             return 0
-        self.refchecker.prune()
-        return self.host.run_cycle(self)
+        return self.check_references()
 
     def greedy_discovery(self) -> None:
         """Sweep each authority's voluntary listings once, no retries."""
@@ -315,18 +314,11 @@ class RelayDescsPlugin(Plugin):
                 doctype, group, self._preference(), gate=self._gate)
             pairs.extend((None, raw) for raw in docs)
             unfetched.extend(left)
-        for docid in singles:
-            try:
-                docs = self.fetch(docid)
-            except FetchError as exc:
-                log.info("event=fetch_failed plugin=%s doc=%s error=%r",
-                         self.name, docid.key(), exc)
-                unfetched.append(docid)
-                continue
-            if docs:
-                pairs.extend((None, raw) for raw in docs)
-            else:
-                unfetched.append(docid)
+        # a response is placed by its own bytes: a consensus hunt may
+        # answer with a variant other than the one asked for
+        single_pairs, left = super().fetch_many(singles)
+        pairs.extend((None, raw) for _, raw in single_pairs)
+        unfetched.extend(left)
         return pairs, unfetched
 
     def fetch(self, docid: DocumentIdentifier) -> list[RawDocument]:
@@ -342,13 +334,7 @@ class RelayDescsPlugin(Plugin):
             return self._fetch_from_authority(
                 docid, self.fetcher.fetch_next_bandwidth)
         if t in _CONSENSUS_TYPES:
-            if docid.digests.empty:
-                return self._fetch_current(docid)
-            return self._fetch_consensus_by_digest(docid)
-        if t in _BATCH_TYPES:
-            docs, _ = self.fetcher.fetch_batch(
-                t, [docid], self._preference(), gate=self._gate)
-            return docs
+            return self._fetch_consensus(docid)
         raise FetchError(f"relaydescs cannot fetch {docid.key()}")
 
     def admit(self, raw: RawDocument, entry: ArchiveEntry) -> None:
@@ -402,26 +388,13 @@ class RelayDescsPlugin(Plugin):
             return []
         return [method(server)]
 
-    def _fetch_current(self, docid: DocumentIdentifier) -> list[RawDocument]:
-        """A consensus we know only by period: any one server will do."""
-        for server in self._preference():
-            if not self._gate(docid, server.server_id):
-                continue
-            try:
-                return [self.fetcher.fetch_current_consensus(server, docid.doctype)]
-            except FetchError as exc:
-                log.info("event=consensus_fetch_failed server=%s error=%r",
-                         server.server_id, exc)
-        return []
-
-    def _fetch_consensus_by_digest(
-        self, docid: DocumentIdentifier
-    ) -> list[RawDocument]:
-        """Hunt a specific consensus variant across servers.
+    def _fetch_consensus(self, docid: DocumentIdentifier) -> list[RawDocument]:
+        """Hunt one flavor's consensus for one period across servers.
 
         Servers may disagree about the current consensus (a vote split),
         so every response is kept for archiving even when it is not the
-        one asked for; the hunt stops at the first digest match.
+        one asked for. The hunt stops at the first response when any
+        variant will do (no digests), else at the first digest match.
 
         Attempts are recorded against the period, not the digest: every
         hunt for this flavor and period asks the same URL, and a server's
@@ -438,10 +411,12 @@ class RelayDescsPlugin(Plugin):
                 continue
             try:
                 raw = self.fetcher.fetch_current_consensus(server, docid.doctype)
-            except FetchError:
+            except FetchError as exc:
+                log.info("event=consensus_fetch_failed server=%s error=%r",
+                         server.server_id, exc)
                 continue
             docs.append(raw)
-            if _digests_overlap(raw.digests, docid.digests):
+            if docid.digests.empty or raw.digests.matches(docid.digests):
                 break
         return docs
 
@@ -481,14 +456,6 @@ class RelayDescsPlugin(Plugin):
             if server.server_id.upper() == fingerprint.upper():
                 return server
         return None
-
-
-def _digests_overlap(have: DigestSet, want: DigestSet) -> bool:
-    for attr in ("sha1_hex", "sha256_hex", "sha256_base64"):
-        wanted = getattr(want, attr)
-        if wanted is not None and wanted == getattr(have, attr):
-            return True
-    return False
 
 
 # --- the measurement collector -----------------------------------------------

@@ -132,10 +132,11 @@ class ReferenceChecker:
         guessed for the upcoming period while the protocol actually
         serves them (the voting window and the distribution window).
         Documents whose window closes unfetched become permanent misses.
+        Without timings nothing is guessed; bootstrap fetches the first consensus.
         """
         now = now or self.clock.now()
         if timings is None:
-            return [DocumentIdentifier(DocType.ConsensusNs, "", None)]
+            return []
         period = timings.period_seconds
         elapsed = (now - timings.valid_after).total_seconds()
         current_start = timings.valid_after + timedelta(

@@ -91,7 +91,8 @@ def test_torperf_path_layout(arch, clock):
     raw = docparse.make_raw(docs.TORPERF, "test", NOW, DocType.TorperfResults)
     ident = DocumentIdentifier(DocType.TorperfResults, "op-nl-51200", NOW, raw.digests)
     entry = arch.store(raw, ident)
-    assert entry.path == "torperf/2018/11/op-nl-51200-2018-11-15.tpf"
+    sha = oracle.whole_file_sha256(docs.TORPERF)
+    assert entry.path == f"torperf/2018/11/{sha[:8]}/op-nl-51200-2018-11-15.tpf"
 
 
 def test_path_is_pure_function_of_identity():
@@ -352,7 +353,22 @@ def test_import_torperf_file(arch, tmp_path):
     report = arch.import_path(src)
     assert report.stored == {"torperf": 1}
     (entry,) = arch.entries()
-    assert entry.path == "torperf/2018/11/op-nl-51200-2018-11-15.tpf"
+    sha = oracle.whole_file_sha256(docs.TORPERF)
+    assert entry.path == f"torperf/2018/11/{sha[:8]}/op-nl-51200-2018-11-15.tpf"
+    assert (entry.subject, entry.doc_datetime) == ("op-nl-51200", parse_ts("2018-11-15 00:00:00"))
+
+
+def test_import_torperf_files_sharing_a_name_keeps_both(arch, tmp_path):
+    bodies = [docs.TORPERF, docs.TORPERF.replace(b"CIRC_ID=8", b"CIRC_ID=7")]
+    for n, body in enumerate(bodies):
+        src = tmp_path / f"host{n}" / "op-nl-51200-2018-11-15.tpf"
+        src.parent.mkdir()
+        src.write_bytes(body)
+        assert arch.import_path(src).stored == {"torperf": 1}
+    entries = arch.entries()
+    assert len({e.path for e in entries}) == 2
+    assert sorted(arch.load_entry(e).body for e in entries) == sorted(bodies)
+    assert arch.verify_integrity().corrupt == []
 
 
 # --- concurrency -------------------------------------------------------------

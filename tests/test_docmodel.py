@@ -37,6 +37,20 @@ def test_timestamp_round_trip():
     assert parse_compact("2018-11-15-19-00-00") == T0
 
 
+@pytest.mark.parametrize("text", [
+    "2018-11-15T19:00:00",        # ISO separator
+    "2018-11-15 19:00:00+00:00",  # UTC offset
+    "2018-11-15 19:00:00.5",      # fractional seconds
+    "2018-11-15 19:00+01",        # 19 characters, not a timestamp
+    "2018-11-5 19:00:00",         # unpadded day
+    "2018-11-15 9:00:00",         # unpadded hour
+    "2018-11-15 19:00:00\n",
+])
+def test_parse_ts_accepts_only_the_canonical_form(text):
+    with pytest.raises(ValueError):
+        parse_ts(text)
+
+
 def test_naive_datetimes_become_utc():
     naive = datetime(2018, 11, 15, 19, 0, 0)
     ident = DocumentIdentifier(DocType.Vote, subject="A" * 40, datetime=naive)

@@ -382,6 +382,45 @@ class TestReferenceCycle:
             network.stop()
 
 
+class TestFetchMany:
+    def test_digestless_consensus_guess_asks_each_server_once(self, tmp_path, clock):
+        network = SimNetwork(
+            SimScenario(seed=11, n_authorities=3, n_relays=4, n_periods=3,
+                        period_start=ts(19), down=frozenset({0})),
+            clock,
+        )
+        network.start()
+        try:
+            rig = build_rig(tmp_path, clock, network)
+            rig.plugin.bootstrap()
+            (guess,) = [g for g in rig.plugin.expectations()
+                        if g.doctype is DocType.ConsensusMicrodesc]
+            assert guess.digests.empty
+            pairs, unfetched = rig.plugin.fetch_many([guess])
+            assert unfetched == []
+            (ident, raw), = pairs
+            assert ident is None and raw.doctype is DocType.ConsensusMicrodesc
+            assert raw.body == network.periods[0].consensus_md
+            # the dead authority was asked, then the next one answered
+            ids = [a.identity for a in network.authorities]
+            asked = Counter(
+                r.server_id for r in network.requests()
+                if r.path == "/tor/status-vote/current/consensus-microdesc")
+            assert asked == {ids[0]: 1, ids[1]: 1}
+        finally:
+            network.stop()
+
+    def test_single_documents_are_placed_by_their_bytes(self, rig, net, clock):
+        rig.plugin.bootstrap()
+        clock.set(ts(19, 52, 30))
+        votes = [g for g in rig.plugin.expectations() if g.doctype is DocType.Vote]
+        assert len(votes) == 3
+        pairs, unfetched = rig.plugin.fetch_many(votes)
+        assert unfetched == []
+        assert [ident for ident, _ in pairs] == [None, None, None]
+        assert {raw.doctype for _, raw in pairs} == {DocType.Vote}
+
+
 class TestServerPreference:
     def test_alpha_uses_authorities_beta_prefers_caches(self, rig, clock):
         rig.plugin.bootstrap()

@@ -96,13 +96,6 @@ class TestStartingPoints:
 
 
 class TestGuessing:
-    def test_bootstrap_guesses_current_consensus(self, checker):
-        guesses = checker.guess_period_documents(now=ts(19, 5), timings=None)
-        assert len(guesses) == 1
-        assert guesses[0].doctype is DocType.ConsensusNs
-        assert guesses[0].datetime is None
-        assert guesses[0].digests.empty
-
     def test_missing_flavor_guessed_for_current_period(self, archive, checker, clock):
         archive.store(docparse.make_raw(sample_docs.CONSENSUS_NS, "test", clock.now()))
         guesses = checker.guess_period_documents(now=ts(19, 5), timings=timings())
