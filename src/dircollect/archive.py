@@ -2,30 +2,52 @@
 
 Layout under the root:
 
-    archive/<type>/<YYYY>/<MM>/<h0>/<h1>/<digest>          digest-addressed
-    archive/<type>/<YYYY>/<MM>/<DD>/<type>-<stamp>-<dig8>  period documents
-    archive/torperf/<YYYY>/<MM>/<dig8>/<source>-<size>-<date>.tpf
-    archive/unrecognized/...                               blobs we kept anyway
-    manifest/<YYYY>-<MM>.jsonl                             entry metadata sidecars
-    recent/<stamp>-<type>                                  last-72h concatenations
+    archive/<type>/<YYYY>/<MM>/<type>-<YYYY>-<MM>-<DD>-<HH>   segments
+    manifest/<YYYY>-<MM>.jsonl                               entry metadata
+    recent/<stamp>-<type>                                    last-72h concatenations
     index.json
 
-Files are written annotated (@type line + body, except unrecognized
-blobs) via temp-and-rename, so a crash never leaves a partial document
-visible. Every open file descriptor passes through one counting gate.
+A segment holds every document of one type stored in one UTC hour (of
+``stored_at``), appended in store order: annotated (@type line + body),
+except unrecognized blobs, so a segment reads like any other annotated
+concatenation and ``import`` takes it as it stands. A manifest line names
+the document's segment, its ``offset`` there and its ``size``; reads are
+one ``pread`` of that range.
+
+An entry's ``path`` is its name, a pure function of its identity (see
+``entry_path``): the archive and ``index.json`` know it by that name, but
+no file carries it.
+
+A store appends the payload to its segment, then appends the manifest
+line, and only then indexes the entry. A failed write truncates the
+segment (or the manifest) back to where the append began. A crash can
+leave a torn manifest line or segment bytes that no manifest line
+covers; opening the archive truncates both away, so a partial document
+is never visible.
+
+Each type's current segment and the manifest month last written keep
+one held append handle each, replaced when the store moves on. All other
+opens pass through one counting gate; ``archive.open_files_peak``
+counts both.
 """
 
 from __future__ import annotations
 
+import errno
+import io
 import json
 import logging
 import os
+import re
+import sys
 import threading
 import uuid
+import weakref
 from bisect import bisect_left, insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 
@@ -53,6 +75,10 @@ RECENT_RETENTION = timedelta(hours=72)
 #: newest stored_at, so regeneration without changes is byte-identical.
 _EPOCH_TS = "1970-01-01 00:00:00"
 
+#: a segment's path relative to archive/; the open-time tail check
+#: touches nothing else
+_SEGMENT_RE = re.compile(r"([a-z0-9-]+)/\d{4}/\d\d/\1-\d{4}-\d\d-\d\d-\d\d")
+
 _DIGEST_TYPES = frozenset({
     DocType.ServerDescriptor,
     DocType.ExtraInfoDescriptor,
@@ -68,7 +94,7 @@ def _pathsafe(digest: str) -> str:
 
 def entry_path(doctype: DocType | None, subject: str, when: datetime,
                digests: DigestSet) -> str:
-    """Relative path for a document: a pure function of its identity."""
+    """A document's name in the archive: a pure function of its identity."""
     when = ensure_utc(when)
     primary = digests.primary_for(doctype)
     if primary is None:
@@ -85,7 +111,27 @@ def entry_path(doctype: DocType | None, subject: str, when: datetime,
     return f"{dirname}/{when:%Y/%m/%d}/{dirname}-{stamp}-{_pathsafe(primary)[:8]}"
 
 
-@dataclass(frozen=True)
+def segment_path(type_name: str, stored_at: datetime) -> str:
+    """The segment, relative to archive/, that holds ``type_name``
+    documents stored in ``stored_at``'s UTC hour."""
+    return f"{type_name}/{stored_at:%Y/%m}/{type_name}-{stored_at:%Y-%m-%d-%H}"
+
+
+def _append(fd: int, data: bytes, start: int) -> None:
+    """Append all of ``data`` to the file whose end is ``start``, or cut
+    the file back to ``start`` and raise: StorageFull when it is full."""
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+    except OSError as exc:
+        os.ftruncate(fd, start)
+        if exc.errno == errno.ENOSPC:
+            raise StorageFull(str(exc)) from exc
+        raise
+
+
+@dataclass(frozen=True, slots=True)
 class ArchiveEntry:
     path: str
     doctype: DocType | None
@@ -93,6 +139,10 @@ class ArchiveEntry:
     size_bytes: int
     stored_at: datetime
     doc_datetime: datetime
+    #: where the annotated bytes are: a segment under archive/, and the
+    #: offset of the first of ``size_bytes`` there
+    segment: str
+    offset: int
     subject: str = ""
 
     @property
@@ -135,7 +185,8 @@ class ImportReport:
 
 
 class _FileGate:
-    """Counting gate around every file open, with a high-water mark."""
+    """Counting gate around transient file opens, with a high-water mark
+    that also counts the held append handles."""
 
     def __init__(self, limit: int, metrics: Metrics):
         self._sem = threading.BoundedSemaphore(limit)
@@ -143,18 +194,60 @@ class _FileGate:
         self._open = 0
         self._metrics = metrics
 
+    def count(self, delta: int) -> None:
+        """Count opens and closes that take no permit (the held handles)."""
+        with self._lock:
+            self._open += delta
+            self._metrics.max_gauge("archive.open_files_peak", self._open)
+
     @contextmanager
     def held(self):
         self._sem.acquire()
-        with self._lock:
-            self._open += 1
-            self._metrics.max_gauge("archive.open_files_peak", self._open)
+        self.count(1)
         try:
             yield
         finally:
-            with self._lock:
-                self._open -= 1
+            self.count(-1)
             self._sem.release()
+
+
+class _Appender:
+    """One held unbuffered append handle, on one file at a time: moving
+    to another file closes the last one, so each appender holds at most
+    one handle. It takes no gate permit, so it cannot wait on reads."""
+
+    def __init__(self, base: Path, gate: _FileGate):
+        self._base = base
+        self._gate = gate
+        self._rel: str | None = None
+        self._fh = None
+
+    def fd(self, rel: str) -> int:
+        """The descriptor of ``base/rel``, opened (and created) on a move."""
+        if rel != self._rel:
+            self.close()
+            path = self._base / rel
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = open(path, "ab", buffering=0)
+            except OSError as exc:
+                if exc.errno == errno.ENOSPC:
+                    raise StorageFull(str(exc)) from exc
+                raise
+            self._rel = rel
+            self._gate.count(1)
+        return self._fh.fileno()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._gate.count(-1)
+            self._fh = self._rel = None
+
+
+def _close_appenders(segments: dict[DocType | None, _Appender], manifest: _Appender) -> None:
+    for appender in (*segments.values(), manifest):
+        appender.close()
 
 
 class Archive:
@@ -173,16 +266,26 @@ class Archive:
         self.metrics = metrics or Metrics()
         self.missing_threshold = missing_threshold
         self._gate = _FileGate(max_open_files, self.metrics)
+        #: guards the indexes; held only for in-memory work, so readers
+        #: never wait on a store's file writes
         self._lock = threading.RLock()
+        #: one store at a time, from the digest re-check to the index
+        self._store_lock = threading.Lock()
         self._by_digest: dict[str, ArchiveEntry] = {}
         #: each type's entries in (stored_at, path) order
         self._by_type: dict[DocType | None, list[ArchiveEntry]] = {}
         self._by_period: dict[tuple[DocType | None, datetime], list[ArchiveEntry]] = {}
-        self._recent_run: list[ArchiveEntry] = []
         self._task_status: dict[str, str] = {}
         for sub in ("archive", "manifest", "recent"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
-        self._load_manifests()
+        #: one held append handle per type's current segment, and one for
+        #: the manifest month last written
+        self._segments: dict[DocType | None, _Appender] = {}
+        self._manifest = _Appender(self.root / "manifest", self._gate)
+        # an archive dropped without close() still closes its handles
+        weakref.finalize(self, _close_appenders, self._segments, self._manifest)
+        self._truncate_segments(self._load_manifests())
+        self._mark_recent()
 
     # -- metadata bookkeeping -------------------------------------------------
 
@@ -205,7 +308,10 @@ class Archive:
         self._by_period.setdefault(key, []).append(entry)
         return entry
 
-    def _load_manifests(self) -> None:
+    def _load_manifests(self) -> dict[str, int]:
+        """Index every manifest line; returns each segment's committed
+        end, the largest offset + size a line gives it."""
+        ends: dict[str, int] = {}
         for manifest in sorted((self.root / "manifest").glob("*.jsonl")):
             with self._gate.held(), open(manifest, "r+b") as fh:
                 kept = 0
@@ -221,6 +327,10 @@ class Archive:
                     if not line.strip():
                         continue
                     rec = json.loads(line)
+                    if "segment" not in rec:
+                        raise ArchiveError(
+                            f"{manifest} lists per-document files; import that "
+                            "root's archive/ into a fresh root to migrate it")
                     entry = ArchiveEntry(
                         path=rec["path"],
                         doctype=DocType(rec["type"]) if rec["type"] != UNRECOGNIZED_DIR else None,
@@ -233,12 +343,35 @@ class Archive:
                         stored_at=parse_ts(rec["stored_at"]),
                         doc_datetime=parse_ts(rec["datetime"]),
                         subject=rec.get("subject", ""),
+                        # one string per segment, not one per entry
+                        segment=sys.intern(rec["segment"]),
+                        offset=rec["offset"],
                     )
+                    end = entry.offset + entry.size_bytes
+                    if end > ends.get(entry.segment, 0):
+                        ends[entry.segment] = end
                     with self._lock:
                         self._register(entry)
+        return ends
+
+    def _truncate_segments(self, ends: dict[str, int]) -> None:
+        """Cut each segment back to its committed end: bytes past it are a
+        store that crashed before its manifest line was whole."""
+        base = self.root / "archive"
+        for path in base.glob("*/[0-9][0-9][0-9][0-9]/[0-9][0-9]/*"):
+            rel = path.relative_to(base).as_posix()
+            if not _SEGMENT_RE.fullmatch(rel):
+                continue
+            size = path.stat().st_size
+            committed = ends.get(rel, 0)
+            if size > committed:
+                os.truncate(path, committed)
+                log.warning("event=segment_torn_tail file=%s dropped_bytes=%d",
+                            rel, size - committed)
 
     def _append_manifest(self, entry: ArchiveEntry) -> None:
-        month = f"{entry.doc_datetime:%Y-%m}.jsonl"
+        """Append the entry's line to its month's manifest; call with the
+        store lock held."""
         rec = {
             "path": entry.path,
             "type": entry.type_name,
@@ -249,9 +382,17 @@ class Archive:
             "size": entry.size_bytes,
             "stored_at": fmt_ts(entry.stored_at),
             "datetime": fmt_ts(entry.doc_datetime),
+            "segment": entry.segment,
+            "offset": entry.offset,
         }
-        with self._gate.held(), open(self.root / "manifest" / month, "a", encoding="ascii") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fd = self._manifest.fd(f"{entry.doc_datetime:%Y-%m}.jsonl")
+        line = (json.dumps(rec, sort_keys=True) + "\n").encode("ascii")
+        _append(fd, line, os.lseek(fd, 0, os.SEEK_END))
+
+    def close(self) -> None:
+        """Close the held append handles; a later store opens them again."""
+        with self._store_lock:
+            _close_appenders(self._segments, self._manifest)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -312,7 +453,8 @@ class Archive:
     # -- store / load ------------------------------------------------------------
 
     def store(self, raw: RawDocument, ident: DocumentIdentifier | None = None) -> ArchiveEntry:
-        """Write one document; duplicates by digest are free no-ops."""
+        """Append one document to its segment; duplicates by digest are
+        free no-ops."""
         existing = self.find_by_digests(raw.digests)
         if existing is not None:
             return existing
@@ -323,44 +465,57 @@ class Archive:
                 ident = DocumentIdentifier(None, "", raw.retrieved_at, raw.digests)
         when = ident.datetime or raw.retrieved_at
         rel = entry_path(raw.doctype, ident.subject, when, raw.digests)
-        target = self.root / "archive" / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
         if raw.doctype is not None:
             payload = docparse.annotation_line(raw.doctype) + raw.body
         else:
             payload = raw.body
-        tmp = target.parent / f".tmp-{uuid.uuid4().hex}"
-        try:
-            with self._gate.held(), open(tmp, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, target)
-        except OSError as exc:
-            tmp.unlink(missing_ok=True)
-            if exc.errno == 28:  # ENOSPC
-                raise StorageFull(str(exc))
-            raise
-        entry = ArchiveEntry(
-            path=rel,
-            doctype=raw.doctype,
-            digests=raw.digests,
-            size_bytes=len(payload),
-            stored_at=self.clock.now(),
-            doc_datetime=ensure_utc(when),
-            subject=ident.subject,
-        )
-        with self._lock:
-            kept = self._register(entry)
-            if kept is not entry:
+        type_name = raw.doctype.dirname if raw.doctype else UNRECOGNIZED_DIR
+        # a raced duplicate writes nothing, and offsets follow the appends
+        with self._store_lock:
+            kept = self.find_by_digests(raw.digests)
+            if kept is not None:
                 return kept
-            self._recent_run.append(entry)
-        self._append_manifest(entry)
+            stored_at = self.clock.now()
+            segment = sys.intern(segment_path(type_name, stored_at))
+            appender = self._segments.get(raw.doctype)
+            if appender is None:
+                appender = self._segments[raw.doctype] = _Appender(
+                    self.root / "archive", self._gate)
+            fd = appender.fd(segment)
+            offset = os.lseek(fd, 0, os.SEEK_END)
+            _append(fd, payload, offset)
+            entry = ArchiveEntry(
+                path=rel,
+                doctype=raw.doctype,
+                digests=raw.digests,
+                size_bytes=len(payload),
+                stored_at=stored_at,
+                doc_datetime=ensure_utc(when),
+                subject=ident.subject,
+                segment=segment,
+                offset=offset,
+            )
+            try:
+                self._append_manifest(entry)
+            except BaseException:
+                os.ftruncate(fd, offset)
+                raise
+            with self._lock:
+                self._register(entry)
         self.metrics.incr("archive.stored")
-        log.info("event=stored type=%s path=%s size=%d", entry.type_name, rel, len(payload))
+        log.info("event=stored type=%s path=%s size=%d", type_name, rel, len(payload))
         return entry
 
     def _read_entry(self, entry: ArchiveEntry) -> bytes:
-        with self._gate.held(), open(self.root / "archive" / entry.path, "rb") as fh:
-            return fh.read()
+        with self._gate.held():
+            fd = os.open(self.root / "archive" / entry.segment, os.O_RDONLY)
+            try:
+                data = os.pread(fd, entry.size_bytes, entry.offset)
+            finally:
+                os.close(fd)
+        if len(data) != entry.size_bytes:
+            raise CorruptEntry(entry.path)
+        return data
 
     def load_entry(self, entry: ArchiveEntry) -> RawDocument:
         data = self._read_entry(entry)
@@ -378,23 +533,47 @@ class Archive:
 
     # -- recent/ ------------------------------------------------------------------
 
+    def _mark_recent(self) -> None:
+        """Start the next snapshot's run here: at this time, and past what
+        each type's segment for this hour already holds. Call with the
+        store lock held (or before the archive is shared), so that no
+        store is between its append and its index entry."""
+        now = self.clock.now()
+        hour = now.replace(minute=0, second=0, microsecond=0)
+        ends = {}
+        for doctype, found in self._by_type.items():
+            segment = segment_path(found[0].type_name, now)
+            ends[doctype] = max((e.offset + e.size_bytes for e in self.of_type(doctype, hour)
+                                 if e.segment == segment), default=0)
+        self._recent_since, self._recent_ends = now, ends
+
     def recent_snapshot(self, run_id: str | None = None) -> list[Path]:
-        """One concatenated annotated file per doctype for this run's documents,
-        then prune anything in recent/ older than 72 hours."""
-        with self._lock:
-            batch, self._recent_run = self._recent_run, []
+        """One concatenated annotated file per doctype for the documents
+        stored since the last snapshot (or the open), then prune anything
+        in recent/ older than 72 hours."""
+        by_type: dict[str, list[ArchiveEntry]] = {}
+        with self._store_lock, self._lock:
+            since = self._recent_since
+            for doctype, found in self._by_type.items():
+                if doctype is None:
+                    continue
+                # the mark's own segment holds older documents below its end
+                marked = segment_path(doctype.dirname, since)
+                end = self._recent_ends.get(doctype, 0)
+                group = [e for e in self.of_type(doctype, since)
+                         if e.segment != marked or e.offset >= end]
+                if group:
+                    by_type[doctype.dirname] = sorted(
+                        group, key=attrgetter("segment", "offset"))
+            self._mark_recent()
         stamp = run_id or fmt_compact(self.clock.now())
         written: list[Path] = []
-        by_type: dict[str, list[ArchiveEntry]] = {}
-        for entry in batch:
-            if entry.doctype is not None:
-                by_type.setdefault(entry.doctype.dirname, []).append(entry)
         for dirname, group in sorted(by_type.items()):
+            data = b"".join(self._read_entry(entry) for entry in group)
             out = self.root / "recent" / f"{stamp}-{dirname}"
             tmp = out.parent / f".tmp-{uuid.uuid4().hex}"
             with self._gate.held(), open(tmp, "wb") as fh:
-                for entry in group:
-                    fh.write(self._read_entry(entry))
+                fh.write(data)
             os.replace(tmp, out)
             written.append(out)
         self._prune_recent()
@@ -550,22 +729,53 @@ def _hints_from_name(name: str) -> tuple[str | None, datetime | None]:
     return None, None
 
 
+#: one index entry as json.dumps(..., indent=2) lays it out two levels
+#: down; json's indenting encoder is pure Python and took ~20 µs an entry
+_INDEX_ENTRY = """    {{
+      "path": {},
+      "type": {},
+      "sha1": {},
+      "sha256": {},
+      "size": {},
+      "stored_at": {},
+      "datetime": {}
+    }}"""
+
+
+def _json_str(value: str | None) -> str:
+    return "null" if value is None else encode_basestring_ascii(value)
+
+
 def index_json_bytes(index: IndexFile) -> bytes:
-    """Serialize with fixed field order and two-space indentation."""
-    doc = {
+    """Serialize with fixed field order and two-space indentation: the
+    bytes ``json.dumps(doc, indent=2)`` gives for the same document."""
+    text = json.dumps({
         "generated_at": index.generated_at,
         "task_status": dict(sorted(index.task_status.items())),
-        "entries": [
-            {
-                "path": e.path,
-                "type": e.type_name,
-                "sha1": e.digests.sha1_hex,
-                "sha256": e.digests.sha256_any_hex(),
-                "size": e.size_bytes,
-                "stored_at": fmt_ts(e.stored_at),
-                "datetime": fmt_ts(e.doc_datetime),
-            }
-            for e in index.entries
-        ],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("ascii")
+        "entries": [],
+    }, indent=2)
+    if not index.entries:
+        return (text + "\n").encode("ascii")
+    stamps: dict[datetime, str] = {}  # entries share most timestamps
+
+    def stamp(when: datetime) -> str:
+        text = stamps.get(when)
+        if text is None:
+            text = stamps[when] = _json_str(fmt_ts(when))
+        return text
+
+    # one growing buffer: the index is the largest response, so no list
+    # of its pieces and no second copy of it
+    out = io.BytesIO()
+    out.write(text[:-len("[]\n}")].encode("ascii"))
+    sep = b"[\n"
+    for e in index.entries:
+        out.write(sep)
+        out.write(_INDEX_ENTRY.format(
+            _json_str(e.path), _json_str(e.type_name),
+            _json_str(e.digests.sha1_hex), _json_str(e.digests.sha256_any_hex()),
+            e.size_bytes, stamp(e.stored_at), stamp(e.doc_datetime),
+        ).encode("ascii"))
+        sep = b",\n"
+    out.write(b"\n  ]\n}\n")
+    return out.getvalue()

@@ -195,7 +195,9 @@ class _Handler(BaseHTTPRequestHandler):
             status, body, ctype = 500, b"", "text/plain"
         encoding = None
         if body and "gzip" in self.headers.get("Accept-Encoding", ""):
-            body = gzip.compress(body)
+            # zlib's default level: level 9 (gzip's default) took twice the
+            # CPU for a 1.5% smaller index
+            body = gzip.compress(body, compresslevel=6)
             encoding = "gzip"
         self.send_response(status)
         self.send_header("Content-Type", ctype)

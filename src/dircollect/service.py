@@ -201,6 +201,7 @@ class Service:
             return
         self.scheduler.stop()
         self.dirserver.stop()
+        self.archive.close()
         self._started = False
         log.info("event=service_stopped")
 

@@ -1,18 +1,25 @@
+import errno
+import inspect
 import json
+import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
 import oracle_digests as oracle
 import sample_docs as docs
+from dircollect import archive as archive_module
 from dircollect import docparse
-from dircollect.archive import Archive, entry_path, index_json_bytes
+from dircollect.archive import Archive, ArchiveEntry, entry_path, index_json_bytes
 from dircollect.clock import ManualClock
 from dircollect.dirserver import DirServer
-from dircollect.docmodel import DocType, DocumentIdentifier, parse_ts
-from dircollect.errors import CorruptEntry
+from dircollect.docmodel import DocType, DocumentIdentifier, fmt_ts, parse_ts
+from dircollect.errors import ArchiveError, CorruptEntry, StorageFull
 
 NOW = datetime(2018, 11, 15, 19, 5, 0, tzinfo=timezone.utc)
 
@@ -36,6 +43,16 @@ def store_doc(arch, body, doctype=None):
     parsed = docparse.parse(raw) if raw.doctype is not None else None
     ident = docparse.identify(raw, parsed)
     return arch.store(raw, ident)
+
+
+def segment_of(arch, entry):
+    return arch.root / "archive" / entry.segment
+
+
+def stored_bytes(arch, entry):
+    """The bytes at the entry's place in its segment."""
+    data = segment_of(arch, entry).read_bytes()
+    return data[entry.offset:entry.offset + entry.size_bytes]
 
 
 ALL_DOCS = [
@@ -62,7 +79,10 @@ def test_store_is_idempotent(arch):
     second = store_doc(arch, docs.SERVER_DESCRIPTOR)
     assert first == second
     files = [p for p in (arch.root / "archive").rglob("*") if p.is_file()]
-    assert len(files) == 1
+    assert files == [segment_of(arch, first)]
+    assert files[0].read_bytes() == b"@type server-descriptor 1.0\n" + docs.SERVER_DESCRIPTOR
+    (manifest,) = (arch.root / "manifest").glob("*.jsonl")
+    assert len(manifest.read_bytes().splitlines()) == 1
 
 
 def test_unrecognized_blob_is_kept(arch):
@@ -105,10 +125,34 @@ def test_path_is_pure_function_of_identity():
 
 
 def test_stored_file_is_annotated(arch):
+    vote = store_doc(arch, docs.VOTE)
     entry = store_doc(arch, docs.SERVER_DESCRIPTOR)
-    data = (arch.root / "archive" / entry.path).read_bytes()
+    data = stored_bytes(arch, entry)
     assert data == b"@type server-descriptor 1.0\n" + docs.SERVER_DESCRIPTOR
     assert entry.size_bytes == len(data)
+    assert stored_bytes(arch, vote) == b"@type network-status-vote-3 1.0\n" + docs.VOTE
+    assert entry.segment == "server-descriptor/2018/11/server-descriptor-2018-11-15-19"
+    assert not (arch.root / "archive" / entry.path).exists()
+
+
+def test_segment_appends_in_store_order_and_rotates_by_hour(arch, clock):
+    bodies = [_descriptor_variant(i) for i in range(3)]
+    first = [store_doc(arch, b) for b in bodies[:2]]
+    micro = store_doc(arch, docs.MICRODESCRIPTOR)
+    clock.advance(3600)
+    later = store_doc(arch, bodies[2])
+    assert first[1].offset == first[0].offset + first[0].size_bytes
+    assert segment_of(arch, first[0]).read_bytes() == b"".join(
+        b"@type server-descriptor 1.0\n" + b for b in bodies[:2])
+    assert later.segment.endswith("server-descriptor-2018-11-15-20")
+    assert later.offset == 0
+    files = sorted(p for p in (arch.root / "archive").rglob("*") if p.is_file())
+    assert files == sorted(segment_of(arch, e) for e in (first[0], micro, later))
+    # two segments and one manifest month held at most; the rotation
+    # closed the 19:00 handle before opening the 20:00 one
+    assert arch.metrics.gauge("archive.open_files_peak") == 3
+    for entry, body in zip((*first, later), bodies):
+        assert arch.load_entry(entry).body == body
 
 
 def test_load_unknown_digest(arch):
@@ -130,11 +174,13 @@ def test_load_by_period(arch):
 
 
 def test_corruption_detected_on_load(arch):
+    before = store_doc(arch, docs.EXTRA_INFO.replace(b"extra-info demo", b"extra-info dem0"))
     entry = store_doc(arch, docs.EXTRA_INFO)
-    target = arch.root / "archive" / entry.path
+    target = segment_of(arch, entry)
     data = bytearray(target.read_bytes())
-    data[len(data) // 2] ^= 0x01
+    data[entry.offset + entry.size_bytes // 2] ^= 0x01
     target.write_bytes(bytes(data))
+    assert arch.load_entry(before).digests.matches(before.digests)
     with pytest.raises(CorruptEntry):
         arch.load_entry(arch.find_by_digests(entry.digests))
     report = arch.verify_integrity()
@@ -220,6 +266,43 @@ def test_recent_snapshot_empty_run(arch):
     assert arch.recent_snapshot() == []
 
 
+def test_recent_snapshot_splits_runs_within_one_second(arch):
+    store_doc(arch, _descriptor_variant(1))
+    (first,) = arch.recent_snapshot("a")
+    store_doc(arch, _descriptor_variant(2))  # same clock second, same segment
+    (second,) = arch.recent_snapshot("b")
+    assert first.read_bytes() == b"@type server-descriptor 1.0\n" + _descriptor_variant(1)
+    assert second.read_bytes() == b"@type server-descriptor 1.0\n" + _descriptor_variant(2)
+    assert arch.recent_snapshot("c") == []
+
+
+def test_recent_snapshot_leaves_out_what_an_earlier_process_stored(tmp_path, clock):
+    store_doc(Archive(tmp_path / "data", clock), docs.SERVER_DESCRIPTOR)
+    reopened = Archive(tmp_path / "data", clock)
+    assert reopened.recent_snapshot() == []
+    store_doc(reopened, _descriptor_variant(1))
+    (written,) = reopened.recent_snapshot()
+    assert written.read_bytes() == b"@type server-descriptor 1.0\n" + _descriptor_variant(1)
+
+
+def _holds_entries(value):
+    if isinstance(value, ArchiveEntry):
+        return True
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (list, tuple, set)) and any(_holds_entries(v) for v in value)
+
+
+def test_stores_hold_no_entry_outside_the_indexes(arch):
+    for i in range(54):
+        store_doc(arch, _descriptor_variant(i))
+    indexes = {"_by_digest", "_by_type", "_by_period"}
+    held = [name for name, value in vars(arch).items()
+            if name not in indexes and _holds_entries(value)]
+    assert held == []
+    assert len(arch.recent_snapshot()[0].read_bytes().split(b"@type ")) == 55
+
+
 def test_recent_pruned_after_72h(arch, clock):
     store_doc(arch, docs.SERVER_DESCRIPTOR)
     (old,) = arch.recent_snapshot()
@@ -257,6 +340,37 @@ def test_index_sorted_and_stable(arch):
         keys == ["path", "type", "sha1", "sha256", "size", "stored_at", "datetime"]
         for keys in entry_keys
     )
+
+
+def _reference_index_bytes(index):
+    return (json.dumps({
+        "generated_at": index.generated_at,
+        "task_status": dict(sorted(index.task_status.items())),
+        "entries": [
+            {
+                "path": e.path,
+                "type": e.type_name,
+                "sha1": e.digests.sha1_hex,
+                "sha256": e.digests.sha256_any_hex(),
+                "size": e.size_bytes,
+                "stored_at": fmt_ts(e.stored_at),
+                "datetime": fmt_ts(e.doc_datetime),
+            }
+            for e in index.entries
+        ],
+    }, indent=2) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("status", [{}, {"eager-votes": "2018-11-15 19:52:30", "b": "x"}])
+def test_index_bytes_are_json_dumps_with_indent(arch, clock, status):
+    assert index_json_bytes(arch.build_index(status)) == \
+        _reference_index_bytes(arch.build_index())
+    for body in ALL_DOCS + [b"zzzz total junk\n"]:
+        store_doc(arch, body)
+        clock.advance(1)
+    index = arch.build_index()
+    assert {e.digests.sha1_hex is None for e in index.entries} == {True, False}
+    assert index_json_bytes(index) == _reference_index_bytes(index)
 
 
 def test_index_survives_reopen_identically(tmp_path, clock):
@@ -412,3 +526,160 @@ def test_partial_tmp_file_is_invisible(arch):
     assert len(index.entries) == 1
     report = arch.verify_integrity()
     assert not report.corrupt
+
+
+def test_racing_stores_tile_their_segment(arch):
+    bodies = [_descriptor_variant(i) for i in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=32) as pool:
+            stored = list(pool.map(lambda b: store_doc(arch, b), bodies))
+    finally:
+        sys.setswitchinterval(interval)
+    by_offset = sorted(stored, key=lambda e: e.offset)
+    ends = [0] + [e.offset + e.size_bytes for e in by_offset]
+    assert [e.offset for e in by_offset] == ends[:-1]
+    assert segment_of(arch, stored[0]).stat().st_size == ends[-1]
+    assert [arch.load_entry(e).body for e in stored] == bodies
+
+
+def test_bounded_file_handles_under_read_burst(tmp_path, clock):
+    writer = Archive(tmp_path / "data", clock)
+    bodies = [_descriptor_variant(i) for i in range(120)]
+    for body in bodies:
+        store_doc(writer, body)
+    writer.close()
+    arch = Archive(tmp_path / "data", clock, max_open_files=8)
+    with ThreadPoolExecutor(max_workers=32) as pool:
+        loaded = list(pool.map(arch.load_entry, arch.entries()))
+    assert sorted(raw.body for raw in loaded) == sorted(bodies)
+    peak = arch.metrics.gauge("archive.open_files_peak")
+    assert 0 < peak <= 8
+
+
+# --- failed and interrupted stores ----------------------------------------------
+
+
+class _WriteFault:
+    """Stands in for the archive module's ``os``: from the ``fail_at``-th
+    ``write`` on, each write keeps none of its bytes (the first one
+    ``keep`` of them) and returns ``then(bytes written)``."""
+
+    def __init__(self, fail_at, keep, then):
+        self._fail_at, self._keep, self._then = fail_at, keep, then
+        self.writes = 0
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def write(self, fd, data):
+        self.writes += 1
+        if self.writes < self._fail_at:
+            return os.write(fd, data)
+        keep = self._keep if self.writes == self._fail_at else 0.0
+        return self._then(os.write(fd, data[:int(len(data) * keep)]))
+
+
+def _disk_full(written):
+    if written:
+        return written  # a short count first; the next write fails
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+#: a store appends to its segment (write 1), then to the manifest (2)
+@pytest.mark.parametrize("fail_at, keep", [(1, 0.0), (1, 0.5), (2, 0.0), (2, 0.5)],
+                         ids=["segment", "segment-short", "manifest", "manifest-short"])
+def test_full_disk_stores_nothing(arch, monkeypatch, fail_at, keep):
+    first = store_doc(arch, _descriptor_variant(0))
+    (manifest,) = (arch.root / "manifest").glob("*.jsonl")
+    committed = manifest.read_bytes()
+    monkeypatch.setattr(archive_module, "os", _WriteFault(fail_at, keep, _disk_full))
+    with pytest.raises(StorageFull):
+        store_doc(arch, _descriptor_variant(1))
+    monkeypatch.undo()
+    assert arch.entries() == [first]
+    assert manifest.read_bytes() == committed
+    assert segment_of(arch, first).stat().st_size == first.size_bytes
+    again = store_doc(arch, _descriptor_variant(1))
+    assert (again.segment, again.offset) == (first.segment, first.size_bytes)
+    assert arch.load_entry(again).body == _descriptor_variant(1)
+
+
+#: stores the documents on stdin with a _WriteFault that ends the process
+_CRASHING_STORE = """
+import os, sys
+from dircollect import archive, docparse
+from dircollect.clock import ManualClock
+from dircollect.docmodel import DocType, parse_ts
+
+WRITE_FAULT
+archive.os = _WriteFault(int(sys.argv[3]), float(sys.argv[4]), lambda written: os._exit(3))
+clock = ManualClock(parse_ts(sys.argv[2]))
+arch = archive.Archive(sys.argv[1], clock)
+for body in sys.stdin.buffer.read().split(b"\\0"):
+    arch.store(docparse.make_raw(body, "child", clock.now(), DocType.ServerDescriptor))
+"""
+
+
+#: the second document's appends are writes 3 (segment) and 4 (manifest)
+@pytest.mark.parametrize("fail_at, keep", [(4, 0.0), (3, 0.5), (4, 0.5)],
+                         ids=["before-manifest", "mid-segment", "mid-manifest"])
+def test_crashed_store_is_cut_away_on_open(tmp_path, clock, fail_at, keep):
+    root = tmp_path / "data"
+    bodies = [_descriptor_variant(i) for i in range(3)]
+    script = _CRASHING_STORE.replace("WRITE_FAULT", inspect.getsource(_WriteFault))
+    src = str(Path(archive_module.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(root), "2018-11-15 19:05:00", str(fail_at), str(keep)],
+        input=b"\0".join(bodies[:2]), env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, timeout=60)
+    assert child.returncode == 3, child.stderr.decode()
+
+    arch = Archive(root, clock)
+    (first,) = arch.entries()
+    assert arch.load_entry(first).body == bodies[0]
+    assert segment_of(arch, first).stat().st_size == first.size_bytes
+    assert arch.verify_integrity().corrupt == []
+    again = store_doc(arch, bodies[1])
+    assert (again.segment, again.offset) == (first.segment, first.size_bytes)
+    assert arch.load_entry(again).body == bodies[1]
+    after = store_doc(arch, bodies[2])
+    assert arch.load_entry(after).body == bodies[2]
+
+    final = Archive(root, clock)
+    assert sorted(final.load_entry(e).body for e in final.entries()) == sorted(bodies)
+    assert final.verify_integrity().corrupt == []
+
+
+# --- older archives ---------------------------------------------------------------
+
+
+def test_per_file_archive_is_refused_and_migrates_by_import(tmp_path, clock):
+    old = tmp_path / "old"
+    bodies = {docs.SERVER_DESCRIPTOR: DocType.ServerDescriptor,
+              docs.CONSENSUS_NS: DocType.ConsensusNs}
+    paths = set()
+    for body, doctype in bodies.items():
+        raw = raw_of(body, doctype)
+        ident = docparse.identify(raw, docparse.parse(raw))
+        rel = entry_path(doctype, ident.subject, ident.datetime, raw.digests)
+        target = old / "archive" / rel
+        target.parent.mkdir(parents=True)
+        target.write_bytes(docparse.annotate(raw))
+        paths.add(rel)
+        line = {"path": rel, "type": doctype.dirname, "size": len(docparse.annotate(raw)),
+                "stored_at": "2018-11-15 19:05:00", "datetime": "2018-11-15 19:00:00"}
+        (old / "manifest").mkdir(exist_ok=True)
+        with open(old / "manifest" / "2018-11.jsonl", "a") as fh:
+            fh.write(json.dumps(line) + "\n")
+    before = {p: p.read_bytes() for p in old.rglob("*") if p.is_file()}
+
+    with pytest.raises(ArchiveError, match="import"):
+        Archive(old, clock)
+    assert {p: p.read_bytes() for p in old.rglob("*") if p.is_file()} == before
+
+    fresh = Archive(tmp_path / "fresh", clock)
+    assert fresh.import_path(old / "archive").total == 2
+    assert {e.path for e in fresh.entries()} == paths
+    assert fresh.verify_integrity().corrupt == []

@@ -290,10 +290,20 @@ class TestCli:
         write_docs(incoming)
         root = tmp_path / "data"
         assert main(["--archive-root", str(root), "import", str(incoming)]) == 0
-        victim = next(p for p in (root / "archive").rglob("*consensus*")
-                      if p.is_file())
-        victim.write_bytes(b"X" * victim.stat().st_size)
+        archive = Archive(root, SystemClock())
+        (victim,) = archive.of_type(DocType.ConsensusNs)
+        (descriptor,) = archive.of_type(DocType.ServerDescriptor)
+        archive.close()
+        segment = root / "archive" / victim.segment
+        data = bytearray(segment.read_bytes())
+        data[victim.offset:victim.offset + victim.size_bytes] = b"X" * victim.size_bytes
+        segment.write_bytes(bytes(data))
+        capsys.readouterr()
         assert main(["--archive-root", str(root), "verify"]) == 1
+        captured = capsys.readouterr()
+        assert "checked=2 corrupt=1" in captured.out
+        assert f"corrupt {victim.path}" in captured.err
+        assert descriptor.path not in captured.err
 
     def test_index_is_byte_stable(self, tmp_path, capsys):
         incoming = tmp_path / "incoming"
@@ -327,8 +337,13 @@ class TestCli:
             config.write_text("\n".join(lines) + "\n")
             assert main(["--config", str(config), "once"]) == 0
             assert (tmp_path / "data" / "index.json").exists()
-            names = {p.name for p in (tmp_path / "data" / "archive").rglob("*")
-                     if p.is_file()}
-            assert any("consensus" in n for n in names)
+            archive = Archive(tmp_path / "data", SystemClock())
+            consensuses = archive.of_type(DocType.ConsensusNs)
+            assert consensuses
+            consensus = consensuses[-1]
+            segment = (tmp_path / "data" / "archive" / consensus.segment).read_bytes()
+            stored = segment[consensus.offset:consensus.offset + consensus.size_bytes]
+            assert stored.startswith(b"@type network-status-consensus-3 1.0\n")
+            assert stored.split(b"\n", 1)[1] == archive.load_entry(consensus).body
         finally:
             network.stop()
