@@ -9,10 +9,12 @@ Layout under the root:
 
 A segment holds every document of one type stored in one UTC hour (of
 ``stored_at``), appended in store order: annotated (@type line + body),
-except unrecognized blobs, so a segment reads like any other annotated
-concatenation and ``import`` takes it as it stands. A manifest line names
-the document's segment, its ``offset`` there and its ``size``; reads are
-one ``pread`` of that range.
+except unrecognized blobs. A manifest line names the document's segment,
+its ``offset`` there and its ``size``; reads are one ``pread`` of that
+range. A segment of a recognized type reads like any other annotated
+concatenation, so ``import`` files its documents under the same paths;
+not so torperf segments (their source and day were in the file name) or
+unrecognized ones (bare blobs run together).
 
 An entry's ``path`` is its name, a pure function of its identity (see
 ``entry_path``): the archive and ``index.json`` know it by that name, but
@@ -25,16 +27,21 @@ leave a torn manifest line or segment bytes that no manifest line
 covers; opening the archive truncates both away, so a partial document
 is never visible.
 
+Every store and that open-time truncation hold an exclusive ``flock`` on
+the root directory, so several processes (or archives) may open, and
+write, one root: no opener sees another's store between its segment
+append and its manifest line, and no two appends take the same end.
+
 Each type's current segment and the manifest month last written keep
 one held append handle each, replaced when the store moves on. All other
 opens pass through one counting gate; ``archive.open_files_peak``
-counts both.
+counts both (but not the root's directory descriptor).
 """
 
 from __future__ import annotations
 
 import errno
-import io
+import fcntl
 import json
 import logging
 import os
@@ -47,7 +54,6 @@ from bisect import bisect_left, insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 
@@ -282,10 +288,38 @@ class Archive:
         #: the manifest month last written
         self._segments: dict[DocType | None, _Appender] = {}
         self._manifest = _Appender(self.root / "manifest", self._gate)
+        #: flocked across each store and the open-time repair
+        self._root_fd = os.open(self.root, os.O_RDONLY)
         # an archive dropped without close() still closes its handles
         weakref.finalize(self, _close_appenders, self._segments, self._manifest)
-        self._truncate_segments(self._load_manifests())
+        weakref.finalize(self, os.close, self._root_fd)
+        #: the last time a store or the recent/ mark took
+        self._last_now = self.clock.now()
+        # read unlocked first, so that a process writing this root waits
+        # only for the lines it appended meanwhile and the repair
+        ends: dict[str, int] = {}
+        done = self._load_manifests({}, ends, repair=False)
+        with self._root_locked():
+            self._load_manifests(done, ends, repair=True)
+            self._truncate_segments(ends)
         self._mark_recent()
+
+    @contextmanager
+    def _root_locked(self):
+        """Hold the root's exclusive flock, which every store, in any
+        process, holds from its segment append to its manifest line."""
+        fcntl.flock(self._root_fd, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(self._root_fd, fcntl.LOCK_UN)
+
+    def _now(self) -> datetime:
+        """The clock's time, but never before the last one taken: a clock
+        stepped back must not file a store before an earlier one or the
+        recent/ mark. Call with the store lock held."""
+        self._last_now = max(self.clock.now(), self._last_now)
+        return self._last_now
 
     # -- metadata bookkeeping -------------------------------------------------
 
@@ -308,20 +342,26 @@ class Archive:
         self._by_period.setdefault(key, []).append(entry)
         return entry
 
-    def _load_manifests(self) -> dict[str, int]:
-        """Index every manifest line; returns each segment's committed
-        end, the largest offset + size a line gives it."""
-        ends: dict[str, int] = {}
+    def _load_manifests(self, done: dict[str, int], ends: dict[str, int],
+                        repair: bool) -> dict[str, int]:
+        """Index each manifest's lines past the bytes ``done`` has read of
+        it, and raise ``ends`` to each segment's committed end, the largest
+        offset + size a line gives it; returns the bytes now read.
+
+        A line without its newline is a store still appending, or, when
+        the root lock is held (``repair``), one that crashed: that one is
+        cut away, as the next append would run into it."""
+        read: dict[str, int] = {}
         for manifest in sorted((self.root / "manifest").glob("*.jsonl")):
-            with self._gate.held(), open(manifest, "r+b") as fh:
-                kept = 0
+            with self._gate.held(), open(manifest, "r+b" if repair else "rb") as fh:
+                kept = done.get(manifest.name, 0)
+                fh.seek(kept)
                 for line in fh:
                     if not line.endswith(b"\n"):
-                        # a crash mid-append leaves a line without its
-                        # newline; the next append would run into it
-                        fh.truncate(kept)
-                        log.warning("event=manifest_torn_tail file=%s dropped_bytes=%d",
-                                    manifest.name, len(line))
+                        if repair:
+                            fh.truncate(kept)
+                            log.warning("event=manifest_torn_tail file=%s dropped_bytes=%d",
+                                        manifest.name, len(line))
                         break
                     kept += len(line)
                     if not line.strip():
@@ -352,11 +392,13 @@ class Archive:
                         ends[entry.segment] = end
                     with self._lock:
                         self._register(entry)
-        return ends
+                read[manifest.name] = kept
+        return read
 
     def _truncate_segments(self, ends: dict[str, int]) -> None:
-        """Cut each segment back to its committed end: bytes past it are a
-        store that crashed before its manifest line was whole."""
+        """Cut each segment back to its committed end: with the root lock
+        held, bytes past it are a store that crashed before its manifest
+        line was whole."""
         base = self.root / "archive"
         for path in base.glob("*/[0-9][0-9][0-9][0-9]/[0-9][0-9]/*"):
             rel = path.relative_to(base).as_posix()
@@ -471,35 +513,37 @@ class Archive:
             payload = raw.body
         type_name = raw.doctype.dirname if raw.doctype else UNRECOGNIZED_DIR
         # a raced duplicate writes nothing, and offsets follow the appends
+        # (of other processes too, by the root lock)
         with self._store_lock:
             kept = self.find_by_digests(raw.digests)
             if kept is not None:
                 return kept
-            stored_at = self.clock.now()
+            stored_at = self._now()
             segment = sys.intern(segment_path(type_name, stored_at))
             appender = self._segments.get(raw.doctype)
             if appender is None:
                 appender = self._segments[raw.doctype] = _Appender(
                     self.root / "archive", self._gate)
-            fd = appender.fd(segment)
-            offset = os.lseek(fd, 0, os.SEEK_END)
-            _append(fd, payload, offset)
-            entry = ArchiveEntry(
-                path=rel,
-                doctype=raw.doctype,
-                digests=raw.digests,
-                size_bytes=len(payload),
-                stored_at=stored_at,
-                doc_datetime=ensure_utc(when),
-                subject=ident.subject,
-                segment=segment,
-                offset=offset,
-            )
-            try:
-                self._append_manifest(entry)
-            except BaseException:
-                os.ftruncate(fd, offset)
-                raise
+            with self._root_locked():
+                fd = appender.fd(segment)
+                offset = os.lseek(fd, 0, os.SEEK_END)
+                _append(fd, payload, offset)
+                entry = ArchiveEntry(
+                    path=rel,
+                    doctype=raw.doctype,
+                    digests=raw.digests,
+                    size_bytes=len(payload),
+                    stored_at=stored_at,
+                    doc_datetime=ensure_utc(when),
+                    subject=ident.subject,
+                    segment=segment,
+                    offset=offset,
+                )
+                try:
+                    self._append_manifest(entry)
+                except BaseException:
+                    os.ftruncate(fd, offset)
+                    raise
             with self._lock:
                 self._register(entry)
         self.metrics.incr("archive.stored")
@@ -538,7 +582,7 @@ class Archive:
         each type's segment for this hour already holds. Call with the
         store lock held (or before the archive is shared), so that no
         store is between its append and its index entry."""
-        now = self.clock.now()
+        now = self._now()
         hour = now.replace(minute=0, second=0, microsecond=0)
         ends = {}
         for doctype, found in self._by_type.items():
@@ -729,53 +773,22 @@ def _hints_from_name(name: str) -> tuple[str | None, datetime | None]:
     return None, None
 
 
-#: one index entry as json.dumps(..., indent=2) lays it out two levels
-#: down; json's indenting encoder is pure Python and took ~20 µs an entry
-_INDEX_ENTRY = """    {{
-      "path": {},
-      "type": {},
-      "sha1": {},
-      "sha256": {},
-      "size": {},
-      "stored_at": {},
-      "datetime": {}
-    }}"""
-
-
-def _json_str(value: str | None) -> str:
-    return "null" if value is None else encode_basestring_ascii(value)
-
-
 def index_json_bytes(index: IndexFile) -> bytes:
-    """Serialize with fixed field order and two-space indentation: the
-    bytes ``json.dumps(doc, indent=2)`` gives for the same document."""
-    text = json.dumps({
+    """Serialize with fixed field order and two-space indentation."""
+    doc = {
         "generated_at": index.generated_at,
         "task_status": dict(sorted(index.task_status.items())),
-        "entries": [],
-    }, indent=2)
-    if not index.entries:
-        return (text + "\n").encode("ascii")
-    stamps: dict[datetime, str] = {}  # entries share most timestamps
-
-    def stamp(when: datetime) -> str:
-        text = stamps.get(when)
-        if text is None:
-            text = stamps[when] = _json_str(fmt_ts(when))
-        return text
-
-    # one growing buffer: the index is the largest response, so no list
-    # of its pieces and no second copy of it
-    out = io.BytesIO()
-    out.write(text[:-len("[]\n}")].encode("ascii"))
-    sep = b"[\n"
-    for e in index.entries:
-        out.write(sep)
-        out.write(_INDEX_ENTRY.format(
-            _json_str(e.path), _json_str(e.type_name),
-            _json_str(e.digests.sha1_hex), _json_str(e.digests.sha256_any_hex()),
-            e.size_bytes, stamp(e.stored_at), stamp(e.doc_datetime),
-        ).encode("ascii"))
-        sep = b",\n"
-    out.write(b"\n  ]\n}\n")
-    return out.getvalue()
+        "entries": [
+            {
+                "path": e.path,
+                "type": e.type_name,
+                "sha1": e.digests.sha1_hex,
+                "sha256": e.digests.sha256_any_hex(),
+                "size": e.size_bytes,
+                "stored_at": fmt_ts(e.stored_at),
+                "datetime": fmt_ts(e.doc_datetime),
+            }
+            for e in index.entries
+        ],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("ascii")

@@ -18,7 +18,7 @@ from dircollect import docparse
 from dircollect.archive import Archive, ArchiveEntry, entry_path, index_json_bytes
 from dircollect.clock import ManualClock
 from dircollect.dirserver import DirServer
-from dircollect.docmodel import DocType, DocumentIdentifier, fmt_ts, parse_ts
+from dircollect.docmodel import DocType, DocumentIdentifier, parse_ts
 from dircollect.errors import ArchiveError, CorruptEntry, StorageFull
 
 NOW = datetime(2018, 11, 15, 19, 5, 0, tzinfo=timezone.utc)
@@ -285,6 +285,17 @@ def test_recent_snapshot_leaves_out_what_an_earlier_process_stored(tmp_path, clo
     assert written.read_bytes() == b"@type server-descriptor 1.0\n" + _descriptor_variant(1)
 
 
+def test_recent_snapshot_keeps_stores_after_the_clock_steps_back(arch, clock):
+    store_doc(arch, _descriptor_variant(1))
+    clock.advance(30)
+    arch.recent_snapshot("a")
+    clock.advance(-3600)  # the wall clock is set back an hour
+    later = store_doc(arch, _descriptor_variant(2))
+    (written,) = arch.recent_snapshot("b")
+    assert written.read_bytes() == b"@type server-descriptor 1.0\n" + _descriptor_variant(2)
+    assert arch.of_type(DocType.ServerDescriptor)[-1] == later
+
+
 def _holds_entries(value):
     if isinstance(value, ArchiveEntry):
         return True
@@ -340,37 +351,6 @@ def test_index_sorted_and_stable(arch):
         keys == ["path", "type", "sha1", "sha256", "size", "stored_at", "datetime"]
         for keys in entry_keys
     )
-
-
-def _reference_index_bytes(index):
-    return (json.dumps({
-        "generated_at": index.generated_at,
-        "task_status": dict(sorted(index.task_status.items())),
-        "entries": [
-            {
-                "path": e.path,
-                "type": e.type_name,
-                "sha1": e.digests.sha1_hex,
-                "sha256": e.digests.sha256_any_hex(),
-                "size": e.size_bytes,
-                "stored_at": fmt_ts(e.stored_at),
-                "datetime": fmt_ts(e.doc_datetime),
-            }
-            for e in index.entries
-        ],
-    }, indent=2) + "\n").encode("ascii")
-
-
-@pytest.mark.parametrize("status", [{}, {"eager-votes": "2018-11-15 19:52:30", "b": "x"}])
-def test_index_bytes_are_json_dumps_with_indent(arch, clock, status):
-    assert index_json_bytes(arch.build_index(status)) == \
-        _reference_index_bytes(arch.build_index())
-    for body in ALL_DOCS + [b"zzzz total junk\n"]:
-        store_doc(arch, body)
-        clock.advance(1)
-    index = arch.build_index()
-    assert {e.digests.sha1_hex is None for e in index.entries} == {True, False}
-    assert index_json_bytes(index) == _reference_index_bytes(index)
 
 
 def test_index_survives_reopen_identically(tmp_path, clock):
@@ -461,6 +441,17 @@ def test_import_empty_directory(arch, tmp_path):
     assert report.total == 0
 
 
+def test_segments_import_under_the_same_paths(arch, tmp_path, clock):
+    for body in ALL_DOCS:
+        store_doc(arch, body)
+        clock.advance(1800)  # spread over several segments
+    fresh = Archive(tmp_path / "fresh", clock)
+    report = fresh.import_path(arch.root / "archive")
+    assert (report.total, report.errors) == (len(ALL_DOCS), [])
+    assert {e.path for e in fresh.entries()} == {e.path for e in arch.entries()}
+    assert fresh.verify_integrity().corrupt == []
+
+
 def test_import_torperf_file(arch, tmp_path):
     src = tmp_path / "op-nl-51200-2018-11-15.tpf"
     src.write_bytes(docs.TORPERF)
@@ -542,6 +533,67 @@ def test_racing_stores_tile_their_segment(arch):
     assert [e.offset for e in by_offset] == ends[:-1]
     assert segment_of(arch, stored[0]).stat().st_size == ends[-1]
     assert [arch.load_entry(e).body for e in stored] == bodies
+
+
+def test_second_writer_on_one_root_waits_for_the_first_append(tmp_path, clock, monkeypatch):
+    # each archive has its own descriptor on the root, so the two lock one
+    # another out exactly as two processes would
+    first, second = (Archive(tmp_path / "data", clock) for _ in range(2))
+    bodies = [_descriptor_variant(i) for i in range(2)]
+    inside, resume = threading.Event(), threading.Event()
+    append = archive_module._append
+
+    def paused(fd, data, start):
+        if not inside.is_set():  # the first store's segment append
+            inside.set()
+            resume.wait(10)
+        append(fd, data, start)
+
+    monkeypatch.setattr(archive_module, "_append", paused)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        before = pool.submit(store_doc, first, bodies[0])
+        assert inside.wait(10)
+        after = pool.submit(store_doc, second, bodies[1])
+        with pytest.raises(TimeoutError):
+            after.result(timeout=0.3)  # it must not take the same end
+        resume.set()
+        stored = [before.result(timeout=10), after.result(timeout=10)]
+    monkeypatch.undo()
+    assert stored[1].offset == stored[0].offset + stored[0].size_bytes
+    assert [first.load_entry(stored[0]).body, second.load_entry(stored[1]).body] == bodies
+    final = Archive(tmp_path / "data", clock)
+    assert sorted(final.load_entry(e).body for e in final.entries()) == bodies
+    assert final.verify_integrity().corrupt == []
+
+
+def test_open_waits_for_a_store_between_segment_and_manifest(tmp_path, clock, monkeypatch):
+    arch = Archive(tmp_path / "data", clock)
+    first = store_doc(arch, _descriptor_variant(0))
+    inside, resume = threading.Event(), threading.Event()
+    append_manifest = Archive._append_manifest
+
+    def paused(self, entry):
+        inside.set()
+        resume.wait(10)
+        append_manifest(self, entry)
+
+    monkeypatch.setattr(Archive, "_append_manifest", paused)
+    storing = ThreadPoolExecutor(max_workers=1).submit(store_doc, arch, _descriptor_variant(1))
+    assert inside.wait(10)
+    opening = ThreadPoolExecutor(max_workers=1).submit(Archive, tmp_path / "data", clock)
+    with pytest.raises(TimeoutError):
+        opening.result(timeout=0.3)  # it must not cut the bytes on their way in
+    resume.set()
+    second = storing.result(timeout=10)
+    monkeypatch.undo()
+    assert second.offset == first.size_bytes
+    assert segment_of(arch, second).stat().st_size == second.offset + second.size_bytes
+    for archive in (arch, opening.result(timeout=10), Archive(tmp_path / "data", clock)):
+        assert sorted(archive.load_entry(e).body for e in archive.entries()) == \
+            sorted([_descriptor_variant(0), _descriptor_variant(1)])
+    third = store_doc(arch, _descriptor_variant(2))
+    assert third.offset == second.offset + second.size_bytes
+    assert arch.load_entry(second).body == _descriptor_variant(1)
 
 
 def test_bounded_file_handles_under_read_burst(tmp_path, clock):
