@@ -48,6 +48,7 @@ import os
 import re
 import sys
 import threading
+import time
 import uuid
 import weakref
 from bisect import bisect_left, insort
@@ -496,21 +497,12 @@ class Archive:
 
     def store(self, raw: RawDocument, ident: DocumentIdentifier | None = None) -> ArchiveEntry:
         """Append one document to its segment; duplicates by digest are
-        free no-ops."""
-        existing = self.find_by_digests(raw.digests)
-        if existing is not None:
-            return existing
+        no-ops. Without ``ident`` the document is parsed to identify it."""
         if ident is None:
-            try:
-                ident = docparse.identify(raw)
-            except Exception:
-                ident = DocumentIdentifier(None, "", raw.retrieved_at, raw.digests)
+            ident = docparse.identify(raw, docparse.parse_admitted(raw))
         when = ident.datetime or raw.retrieved_at
         rel = entry_path(raw.doctype, ident.subject, when, raw.digests)
-        if raw.doctype is not None:
-            payload = docparse.annotation_line(raw.doctype) + raw.body
-        else:
-            payload = raw.body
+        payload = raw.body if raw.doctype is None else docparse.annotate(raw)
         type_name = raw.doctype.dirname if raw.doctype else UNRECOGNIZED_DIR
         # a raced duplicate writes nothing, and offsets follow the appends
         # (of other processes too, by the root lock)
@@ -624,9 +616,19 @@ class Archive:
         return written
 
     def _prune_recent(self) -> None:
+        """Drop snapshots older than RECENT_RETENTION by their stamp, and
+        temp files a crashed snapshot left, by their mtime (an in-flight
+        one is seconds old)."""
         cutoff = self.clock.now() - RECENT_RETENTION
+        stale_mtime = time.time() - RECENT_RETENTION.total_seconds()
         for path in (self.root / "recent").iterdir():
-            if path.name.startswith("."):
+            if path.name.startswith(".tmp-"):
+                try:
+                    if path.stat().st_mtime < stale_mtime:
+                        path.unlink()
+                        log.info("event=recent_pruned file=%s", path.name)
+                except FileNotFoundError:
+                    pass  # renamed into place meanwhile
                 continue
             try:
                 stamp = parse_compact(path.name[:19])
@@ -665,30 +667,21 @@ class Archive:
         the votes/consensuses whose references are counted.
         """
         report = IntegrityReport()
-        selected = []
+        referencing = (DocType.Vote, DocType.ConsensusNs, DocType.ConsensusMicrodesc)
+        missing_digests: set[str] = set()
         for entry in self.entries():
             if window is not None and not (window[0] <= entry.doc_datetime < window[1]):
                 continue
-            selected.append(entry)
-        for entry in selected:
             report.checked += 1
             try:
-                self.load_entry(entry)
-            except CorruptEntry:
-                report.corrupt.append(entry.path)
-            except OSError:
-                report.corrupt.append(entry.path)
-        referencing = (DocType.Vote, DocType.ConsensusNs, DocType.ConsensusMicrodesc)
-        missing_digests: set[str] = set()
-        for entry in selected:
-            if entry.doctype not in referencing:
-                continue
-            try:
                 raw = self.load_entry(entry)
-                refs = docparse.extract_references(docparse.parse(raw), self.metrics)
-            except Exception:
+            except (CorruptEntry, OSError):
+                report.corrupt.append(entry.path)
                 continue
-            for ref in refs:
+            parsed = docparse.parse_admitted(raw) if entry.doctype in referencing else None
+            if parsed is None:
+                continue
+            for ref in docparse.extract_references(parsed, self.metrics):
                 report.total_references += 1
                 if self.find_by_digests(ref.digests) is None:
                     primary = ref.digests.primary_for(ref.doctype)
@@ -741,16 +734,9 @@ class Archive:
             if self.find_by_digests(raw.digests) is not None:
                 report.duplicates += 1
                 continue
-            try:
-                parsed = docparse.parse(raw) if raw.doctype is not None else None
-            except Exception:
-                parsed = None
-            ident = docparse.identify(
-                raw, parsed, subject_hint=subject_hint or "",
-                datetime_hint=datetime_hint,
-            )
-            entry = self.store(raw, ident)
-            report.count(entry.type_name)
+            ident = docparse.identify(raw, docparse.parse_admitted(raw),
+                                      subject_hint or "", datetime_hint)
+            report.count(self.store(raw, ident).type_name)
 
 
 def _hints_from_name(name: str) -> tuple[str | None, datetime | None]:

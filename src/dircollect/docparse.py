@@ -277,9 +277,25 @@ def parse(raw: RawDocument) -> ParsedDocument:
     return ParsedDocument(raw.doctype, tuple(items), raw.body)
 
 
-# --- field extraction ------------------------------------------------------
-
 _STATUS_TYPES = (DocType.Vote, DocType.ConsensusNs, DocType.ConsensusMicrodesc)
+#: the types whose identity or references live in their keyword lines
+PARSED_TYPES = frozenset(_STATUS_TYPES + (
+    DocType.DetachedSignature, DocType.ServerDescriptor, DocType.ExtraInfoDescriptor))
+
+
+def parse_admitted(raw: RawDocument) -> ParsedDocument | None:
+    """The one parse a document gets on its way into the archive: statuses,
+    signatures and server or extra-info descriptors only. Malformed bytes
+    give None; they are archived all the same, just not reference checked."""
+    if raw.doctype not in PARSED_TYPES:
+        return None
+    try:
+        return parse(raw)
+    except MalformedDocument:
+        return None
+
+
+# --- field extraction ------------------------------------------------------
 
 
 def extract_timings(parsed: ParsedDocument) -> ConsensusTimings:
@@ -377,8 +393,8 @@ def extract_references(parsed: ParsedDocument, metrics=None) -> list[DocumentIde
                 except ValueError:
                     skipped()
                 else:
-                    source = parsed.first("dir-source")
-                    subject = source.split()[1] if source else ""
+                    source = (parsed.first("dir-source") or "").split()
+                    subject = source[1] if len(source) > 1 else ""
                     refs.append(
                         DocumentIdentifier(
                             DocType.BandwidthList, subject, when,
@@ -458,11 +474,12 @@ def extract_references(parsed: ParsedDocument, metrics=None) -> list[DocumentIde
 
 def identify(
     raw: RawDocument,
-    parsed: ParsedDocument | None = None,
+    parsed: ParsedDocument | None,
     subject_hint: str = "",
     datetime_hint: datetime | None = None,
 ) -> DocumentIdentifier:
-    """Build the archive identifier for a document.
+    """Build the archive identifier for a document from its bytes and its
+    `parse_admitted` parse; without one, from the hints and retrieval time.
 
     Hints supply what the bytes cannot: the consensus period a
     microdescriptor was listed in, or the source and size of a Torperf
@@ -470,10 +487,6 @@ def identify(
     """
     t = raw.doctype
     fallback = datetime_hint or raw.retrieved_at
-    if t is None:
-        return DocumentIdentifier(None, subject_hint, fallback, raw.digests)
-    if t is DocType.Microdescriptor:
-        return DocumentIdentifier(t, subject_hint, fallback, raw.digests)
     if t is DocType.BandwidthList:
         when = fallback
         head = raw.body.split(b"\n", 1)[0]
@@ -487,31 +500,23 @@ def identify(
         subject = subject_hint
         if not subject:
             first = raw.body.split(b"\n", 1)[0].decode("utf-8", "replace")
-            kv = dict(
-                tok.split("=", 1) for tok in first.split() if "=" in tok
-            )
-            source = kv.get("SOURCE", "unknown")
-            size = kv.get("FILESIZE", "0")
-            subject = f"{source}-{size}"
+            kv = dict(tok.split("=", 1) for tok in first.split() if "=" in tok)
+            subject = f"{kv.get('SOURCE', 'unknown')}-{kv.get('FILESIZE', '0')}"
         return DocumentIdentifier(t, subject, fallback, raw.digests)
-    if parsed is None:
-        parsed = parse(raw)
+    if parsed is None or t not in PARSED_TYPES:
+        # unrecognized blobs, microdescriptors and malformed documents
+        return DocumentIdentifier(t, subject_hint, fallback, raw.digests)
     if t in (DocType.ConsensusNs, DocType.ConsensusMicrodesc):
         return DocumentIdentifier(t, "", _valid_after(parsed) or fallback, raw.digests)
     if t is DocType.Vote:
-        source = parsed.first("dir-source")
-        subject = source.split()[1] if source else subject_hint
+        source = (parsed.first("dir-source") or "").split()
+        subject = source[1] if len(source) > 1 else subject_hint
         return DocumentIdentifier(t, subject, _valid_after(parsed) or fallback, raw.digests)
     if t is DocType.DetachedSignature:
-        subject = subject_hint
         sigs = parsed.all("directory-signature")
-        if sigs:
-            fields = sigs[0][0].split()
-            # directory-signature [algorithm] identity signing-key-digest
-            if len(fields) == 3:
-                subject = fields[1]
-            elif len(fields) == 2:
-                subject = fields[0]
+        # directory-signature [algorithm] identity signing-key-digest
+        fields = sigs[0][0].split() if sigs else []
+        subject = fields[-2] if len(fields) in (2, 3) else subject_hint
         return DocumentIdentifier(t, subject, _valid_after(parsed) or fallback, raw.digests)
     # server descriptor or extra-info descriptor
     published = parsed.first("published")
@@ -524,8 +529,7 @@ def identify(
     if t is DocType.ServerDescriptor:
         subject = (parsed.first("fingerprint") or "").replace(" ", "") or subject_hint
     else:
-        head = parsed.first("extra-info") or ""
-        fields = head.split()
+        fields = (parsed.first("extra-info") or "").split()
         subject = fields[1] if len(fields) >= 2 else subject_hint
     return DocumentIdentifier(t, subject.upper(), when, raw.digests)
 

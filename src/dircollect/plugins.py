@@ -1,10 +1,12 @@
 """Pluggable document collectors and the host that drives them.
 
 A plugin names the documents it wants (`expectations`) and knows how to
-fetch them; the host owns every archive write and repeats the
-expectations -> fetch -> store loop until a cycle stops producing new
-documents. Two collectors ship in-tree: `relaydescs` for the directory
-protocol and `onionperf` for daily measurement files.
+fetch them; the host owns every archive write and every parse: it parses
+each new document once, identifies and stores it, and hands the parse to
+the plugin's `admit`. It repeats the expectations -> fetch -> store loop
+until a cycle stops producing new documents. Two collectors ship
+in-tree: `relaydescs` for the directory protocol and `onionperf` for
+daily measurement files.
 """
 
 from __future__ import annotations
@@ -94,8 +96,10 @@ class Plugin:
                 unfetched.append(docid)
         return pairs, unfetched
 
-    def admit(self, raw: RawDocument, entry: ArchiveEntry) -> None:
-        """Called by the host once for each newly archived document."""
+    def admit(self, entry: ArchiveEntry,
+              parsed: docparse.ParsedDocument | None) -> None:
+        """Called by the host once for each newly archived document, with
+        its `docparse.parse_admitted` parse."""
 
     def seed(self) -> None:
         """Called once at start to adopt what a previous run archived."""
@@ -115,7 +119,7 @@ class Plugin:
 
 
 class PluginHost:
-    """Owns archive writes; plugins only produce documents."""
+    """Owns archive writes and parses; plugins only produce documents."""
 
     def __init__(self, archive: Archive, metrics: Metrics | None = None):
         self.archive = archive
@@ -123,17 +127,19 @@ class PluginHost:
 
     def store(self, plugin: Plugin, raw: RawDocument,
               ident: DocumentIdentifier | None = None) -> bool:
-        """Archive one document; returns True when it was new."""
-        new = self.archive.find_by_digests(raw.digests) is None
-        entry = self.archive.store(raw, ident)
-        if new:
-            self.metrics.incr(f"plugins.{plugin.name}.archived")
-            try:
-                plugin.admit(raw, entry)
-            except Exception as exc:  # a bad document must not kill the cycle
-                log.warning("event=admit_failed plugin=%s path=%s error=%r",
-                            plugin.name, entry.path, exc)
-        return new
+        """Archive one document; returns True when it was new. A new one's
+        one parse identifies it (unless ``ident`` does) and goes to `admit`."""
+        if self.archive.find_by_digests(raw.digests) is not None:
+            return False
+        parsed = docparse.parse_admitted(raw)
+        entry = self.archive.store(raw, ident or docparse.identify(raw, parsed))
+        self.metrics.incr(f"plugins.{plugin.name}.archived")
+        try:
+            plugin.admit(entry, parsed)
+        except Exception as exc:  # a bad document must not kill the cycle
+            log.warning("event=admit_failed plugin=%s path=%s error=%r",
+                        plugin.name, entry.path, exc)
+        return True
 
     def run_cycle(self, plugin: Plugin, max_rounds: int = MAX_ROUNDS) -> int:
         """Drive one plugin to a fixed point; returns new documents stored.
@@ -230,7 +236,8 @@ class RelayDescsPlugin(Plugin):
                 failures += 1
                 continue
             if raw.doctype in _CONSENSUS_TYPES and not self.host.store(self, raw):
-                self.admit(raw, self.archive.find_by_digests(raw.digests))
+                self.admit(self.archive.find_by_digests(raw.digests),
+                           docparse.parse_admitted(raw))
             if self.scheduler.timings is not None:
                 return
             log.warning("event=bootstrap_no_timings server=%s", server.server_id)
@@ -337,19 +344,16 @@ class RelayDescsPlugin(Plugin):
             return self._fetch_consensus(docid)
         raise FetchError(f"relaydescs cannot fetch {docid.key()}")
 
-    def admit(self, raw: RawDocument, entry: ArchiveEntry) -> None:
+    def admit(self, entry, parsed) -> None:
         """Make a status or server descriptor a referrer; a consensus that
         is still valid also sets the schedule. Idempotent."""
-        if raw.doctype not in REFERRER_TYPES:
+        if entry.doctype not in REFERRER_TYPES:
             return
-        try:
-            parsed = docparse.parse(raw)
-        except CollectorError as exc:
-            log.warning("event=admit_parse_failed path=%s error=%r",
-                        entry.path, exc)
+        if parsed is None:
+            log.warning("event=admit_unparsed path=%s", entry.path)
             return
         self.refchecker.add_referrer(parsed, entry)
-        if raw.doctype in _CONSENSUS_TYPES:
+        if entry.doctype in _CONSENSUS_TYPES:
             try:
                 timings = docparse.extract_timings(parsed)
                 if timings.valid_until > self.clock.now():
@@ -370,7 +374,7 @@ class RelayDescsPlugin(Plugin):
                     log.warning("event=referrer_unloadable path=%s error=%r",
                                 entry.path, exc)
                     continue
-                self.admit(raw, entry)
+                self.admit(entry, docparse.parse_admitted(raw))
 
     def permanently_missed_count(self) -> int:
         return self.refchecker.permanently_missed_count()

@@ -210,19 +210,11 @@ class Service:
         self.seed_from_archive()
         stored = sum(plugin.run_once() for plugin in self.plugins)
         self.archive.recent_snapshot()
-        self.write_index()
+        write_index(self.archive)
         log.info("event=once_complete stored=%d", stored)
         return stored
 
     # -- operator surface -----------------------------------------------------
-
-    def write_index(self) -> Path:
-        target = self.archive.root / "index.json"
-        data = index_json_bytes(self.archive.build_index())
-        tmp = target.with_name(".index.json.tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, target)
-        return target
 
     def status(self) -> dict:
         timings = self.scheduler.timings
@@ -239,6 +231,15 @@ class Service:
             "jobs": {name: fmt_ts(at) for name, at
                      in sorted(self.scheduler.completions().items())},
         }
+
+
+def write_index(archive: Archive) -> Path:
+    """Write the archive's index.json, replacing it whole."""
+    target = archive.root / "index.json"
+    tmp = target.with_name(".index.json.tmp")
+    tmp.write_bytes(index_json_bytes(archive.build_index()))
+    os.replace(tmp, target)
+    return target
 
 
 # --- command line ---------------------------------------------------------------
@@ -309,11 +310,15 @@ def _cmd_serve(config: Config) -> int:
     return 0
 
 
+def _open_archive(config: Config) -> Archive:
+    """The archive alone, for the commands that neither collect nor serve."""
+    return Archive(config.archive_root, SystemClock(),
+                   max_open_files=config.max_open_files,
+                   missing_threshold=config.missing_threshold)
+
+
 def _cmd_import(config: Config, path: str) -> int:
-    archive = Archive(config.archive_root, SystemClock(),
-                      max_open_files=config.max_open_files,
-                      missing_threshold=config.missing_threshold)
-    report = archive.import_path(path)
+    report = _open_archive(config).import_path(path)
     for type_name, n in sorted(report.stored.items()):
         print(f"stored {type_name}={n}")
     print(f"total={report.total} duplicates={report.duplicates} "
@@ -324,10 +329,7 @@ def _cmd_import(config: Config, path: str) -> int:
 
 
 def _cmd_verify(config: Config) -> int:
-    archive = Archive(config.archive_root, SystemClock(),
-                      max_open_files=config.max_open_files,
-                      missing_threshold=config.missing_threshold)
-    report = archive.verify_integrity()
+    report = _open_archive(config).verify_integrity()
     print(f"checked={report.checked} corrupt={len(report.corrupt)} "
           f"missing={report.missing}/{report.total_references} "
           f"missing_ratio={report.missing_ratio:.4f} warn={report.warn}")
@@ -337,9 +339,7 @@ def _cmd_verify(config: Config) -> int:
 
 
 def _cmd_index(config: Config) -> int:
-    service = Service(config)
-    target = service.write_index()
-    print(target)
+    print(write_index(_open_archive(config)))
     return 0
 
 

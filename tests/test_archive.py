@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
@@ -324,6 +325,20 @@ def test_recent_pruned_after_72h(arch, clock):
     assert new.exists()
 
 
+def test_stale_recent_tmp_files_are_pruned(arch):
+    # a crash between a snapshot's write and its rename leaves its temp file
+    stale = arch.root / "recent" / ".tmp-crashed"
+    fresh = arch.root / "recent" / ".tmp-in-flight"
+    for path in (stale, fresh):
+        path.write_bytes(b"half a snapshot")
+    old = time.time() - 73 * 3600
+    os.utime(stale, (old, old))
+    store_doc(arch, docs.SERVER_DESCRIPTOR)
+    arch.recent_snapshot()
+    assert not stale.exists()
+    assert fresh.exists()
+
+
 # --- index -------------------------------------------------------------------
 
 
@@ -365,11 +380,16 @@ def test_index_survives_reopen_identically(tmp_path, clock):
 # --- integrity ---------------------------------------------------------------
 
 
-def test_integrity_counts_dangling_references(arch):
+def test_integrity_counts_dangling_references(arch, monkeypatch):
     store_doc(arch, docs.VOTE)
     store_doc(arch, docs.SERVER_DESCRIPTOR)
     store_doc(arch, docs.BANDWIDTH_LIST)
+    loaded = []
+    load = arch.load_entry
+    monkeypatch.setattr(arch, "load_entry", lambda e: loaded.append(e.path) or load(e))
     report = arch.verify_integrity()
+    # one read and re-hash per document, the vote's too
+    assert sorted(loaded) == sorted(e.path for e in arch.entries())
     # the vote names three descriptors and one bandwidth list; two of the
     # descriptors were never published anywhere
     assert report.total_references == 4
@@ -432,6 +452,22 @@ def test_import_junk_and_duplicates(arch, tmp_path):
     assert report.stored.get("unrecognized") == 1
     assert report.stored.get("server-descriptor") == 1
     assert report.duplicates == 1
+
+
+def test_import_keeps_the_rest_of_a_file_past_a_malformed_status(arch, tmp_path):
+    broken = docs.VOTE.replace(b"\ncontact ", b"\ncontact \xff", 1)
+    assert broken != docs.VOTE
+    src = tmp_path / "incoming"
+    src.write_bytes(
+        docparse.annotate(raw_of(broken, DocType.Vote))
+        + docparse.annotate(raw_of(docs.SERVER_DESCRIPTOR, DocType.ServerDescriptor))
+    )
+    report = arch.import_path(src)
+    assert (report.stored, report.errors) == ({"vote": 1, "server-descriptor": 1}, [])
+    (vote,) = arch.of_type(DocType.Vote)
+    # unparsed, it is filed under its import time
+    assert vote.doc_datetime == NOW
+    assert arch.load_entry(vote).body == broken
 
 
 def test_import_empty_directory(arch, tmp_path):

@@ -1,3 +1,4 @@
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -361,9 +362,39 @@ def test_identify_microdescriptor_uses_hint():
 
 def test_identify_unrecognized_blob():
     raw = docparse.make_raw(b"zzzz total junk\n", source="fuzz", retrieved_at=NOW)
-    ident = docparse.identify(raw)
+    ident = docparse.identify(raw, None)
     assert ident.doctype is None
     assert ident.digests.sha256_hex == oracle.whole_file_sha256(b"zzzz total junk\n")
+
+
+def test_identify_never_parses(monkeypatch):
+    def no_parse(raw):
+        raise AssertionError("identify parsed")
+
+    monkeypatch.setattr(docparse, "parse", no_parse)
+    raw = raw_of(docs.VOTE)
+    # without a parse, a status falls back to the hints, else retrieval time
+    assert docparse.identify(raw, None).datetime == NOW
+    hint = parse_ts("2018-11-15 20:00:00")
+    ident = docparse.identify(raw, None, subject_hint="AB", datetime_hint=hint)
+    assert (ident.subject, ident.datetime) == ("AB", hint)
+
+
+def test_parse_admitted_skips_other_types_and_malformed_bytes():
+    assert docparse.parse_admitted(raw_of(docs.MICRODESCRIPTOR)) is None
+    assert docparse.parse_admitted(raw_of(docs.VOTE)).first("dir-source")
+    broken = docs.VOTE.replace(b"\ncontact ", b"\ncontact \xff", 1)
+    assert broken != docs.VOTE
+    assert docparse.parse_admitted(raw_of(broken, DocType.Vote)) is None
+
+
+def test_vote_with_a_short_dir_source_line_is_identified():
+    body = re.sub(rb"\ndir-source [^\n]*", b"\ndir-source lonely", docs.VOTE, count=1)
+    raw = raw_of(body, DocType.Vote)
+    parsed = docparse.parse(raw)
+    ident = docparse.identify(raw, parsed, subject_hint="HINT")
+    assert ident.subject == "HINT"
+    assert docparse.extract_references(parsed)  # not an IndexError
 
 
 # --- splitting concatenated input ----------------------------------------

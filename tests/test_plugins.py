@@ -124,7 +124,7 @@ class _ToyPlugin(Plugin):
     def fetch(self, docid):
         return [junk_doc(self.rounds, self.clock.now())]
 
-    def admit(self, raw, entry):
+    def admit(self, entry, parsed):
         if self.explode_on_admit:
             raise RuntimeError("bad admit")
         self.admitted.append(entry.path)
@@ -246,7 +246,7 @@ class TestBootstrap:
         raw = docparse.make_raw(net.periods[0].consensus_ns, "test", clock.now())
         entry = rig.archive.store(raw)
         clock.set(ts(22, 0))  # its valid-until
-        rig.plugin.admit(raw, entry)
+        rig.plugin.admit(entry, docparse.parse_admitted(raw))
         assert rig.scheduler.timings is None
         assert rig.metrics.gauge("refchecker.referrers") == 1
 
@@ -254,7 +254,7 @@ class TestBootstrap:
         body, n = re.subn(rb"voting-delay \d+ \d+\n", b"", net.periods[0].consensus_ns)
         assert n == 1
         raw = docparse.make_raw(body, "test", clock.now())
-        rig.plugin.admit(raw, rig.archive.store(raw))
+        rig.plugin.admit(rig.archive.store(raw), docparse.parse_admitted(raw))
         assert rig.scheduler.timings is None
         assert rig.metrics.gauge("refchecker.referrers") == 1
 
@@ -380,6 +380,32 @@ class TestReferenceCycle:
             assert rig.plugin.expectations() == []
         finally:
             network.stop()
+
+
+class TestParseOnce:
+    def test_each_stored_document_is_parsed_once(self, rig, clock, monkeypatch):
+        parsed = Counter()
+        parse = docparse.parse
+
+        def counting(raw):
+            parsed[raw.digests.primary_for(raw.doctype)] += 1
+            return parse(raw)
+
+        monkeypatch.setattr(docparse, "parse", counting)
+        TestReferenceCycle().drive(rig, clock)
+        rig.plugin.check_references()
+        stored = [e for e in rig.archive.entries()
+                  if e.doctype in docparse.PARSED_TYPES]
+        assert {e.type_name for e in stored} >= {
+            "consensus", "vote", "detached-signature", "server-descriptor",
+            "extra-info"}
+        assert parsed == Counter(
+            e.digests.primary_for(e.doctype) for e in stored)
+
+        parsed.clear()
+        for entry in stored:
+            assert rig.host.store(rig.plugin, rig.archive.load_entry(entry)) is False
+        assert not parsed
 
 
 class TestFetchMany:

@@ -1,6 +1,7 @@
 """Config loading, service wiring and the command-line entry points."""
 
 import json
+import logging
 import time
 import urllib.request
 from datetime import datetime, timezone
@@ -315,6 +316,13 @@ class TestCli:
         assert main(["--archive-root", root, "index"]) == 0
         assert (tmp_path / "data" / "index.json").read_bytes() == first
         assert json.loads(first)["entries"]
+
+    def test_index_opens_the_archive_alone(self, tmp_path, caplog):
+        # no servers configured: a whole service would fail to start relaydescs
+        root = str(tmp_path / "data")
+        assert main(["--archive-root", root, "index"]) == 0
+        assert (tmp_path / "data" / "index.json").exists()
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
 
     def test_config_errors_exit_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "missing.yaml"), "once"]) == 2
