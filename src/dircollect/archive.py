@@ -4,7 +4,7 @@ Layout under the root:
 
     archive/<type>/<YYYY>/<MM>/<type>-<YYYY>-<MM>-<DD>-<HH>   segments
     manifest/<YYYY>-<MM>.jsonl                               entry metadata
-    recent/<stamp>-<type>                                    last-72h concatenations
+    recent/<type>-<YYYY>-<MM>-<DD>-<HH>                      last 72 h of closed segments
     index.json
 
 A segment holds every document of one type stored in one UTC hour (of
@@ -32,6 +32,15 @@ the root directory, so several processes (or archives) may open, and
 write, one root: no opener sees another's store between its segment
 append and its manifest line, and no two appends take the same end.
 
+A segment is closed once its hour is over: nothing appends to it again.
+``recent/`` publishes each closed segment of a recognized type (torperf
+included) from the last 72 h as a hard link under the segment's own name,
+so it shares the segment's bytes and must be treated as read-only. The
+open links the closed segments it finds, after cutting their torn tails;
+the first store of a later hour links the hour the process was in. Both
+then drop the links whose hour ended 72 h ago or more. A failed link is
+logged and fails nothing.
+
 Each type's current segment and the manifest month last written keep
 one held append handle each, replaced when the store moves on. All other
 opens pass through one counting gate; ``archive.open_files_peak``
@@ -48,8 +57,6 @@ import os
 import re
 import sys
 import threading
-import time
-import uuid
 import weakref
 from bisect import bisect_left, insort
 from contextlib import contextmanager
@@ -85,6 +92,9 @@ _EPOCH_TS = "1970-01-01 00:00:00"
 #: a segment's path relative to archive/; the open-time tail check
 #: touches nothing else
 _SEGMENT_RE = re.compile(r"([a-z0-9-]+)/\d{4}/\d\d/\1-\d{4}-\d\d-\d\d-\d\d")
+#: the hour in a recent/ file's name: a segment's, or the snapshot time
+#: that ``once`` put first in names of the older format
+_HOUR_RE = re.compile(r"\d{4}-\d\d-\d\d-\d\d")
 
 _DIGEST_TYPES = frozenset({
     DocType.ServerDescriptor,
@@ -121,7 +131,17 @@ def entry_path(doctype: DocType | None, subject: str, when: datetime,
 def segment_path(type_name: str, stored_at: datetime) -> str:
     """The segment, relative to archive/, that holds ``type_name``
     documents stored in ``stored_at``'s UTC hour."""
-    return f"{type_name}/{stored_at:%Y/%m}/{type_name}-{stored_at:%Y-%m-%d-%H}"
+    return f"{type_name}/{stored_at:%Y/%m}/{type_name}-{_hour(stored_at)}"
+
+
+def _hour(when: datetime) -> str:
+    """``when``'s hour as segment names end in it; these sort in time order."""
+    return f"{when:%Y-%m-%d-%H}"
+
+
+def _end_of_hour(when: datetime) -> datetime:
+    """The first instant after ``when``'s hour."""
+    return when.replace(minute=0, second=0, microsecond=0) + timedelta(hours=1)
 
 
 def _append(fd: int, data: bytes, start: int) -> None:
@@ -160,7 +180,6 @@ class ArchiveEntry:
 @dataclass(frozen=True)
 class IndexFile:
     generated_at: str
-    task_status: dict[str, str]
     entries: tuple[ArchiveEntry, ...]
 
 
@@ -282,7 +301,6 @@ class Archive:
         #: each type's entries in (stored_at, path) order
         self._by_type: dict[DocType | None, list[ArchiveEntry]] = {}
         self._by_period: dict[tuple[DocType | None, datetime], list[ArchiveEntry]] = {}
-        self._task_status: dict[str, str] = {}
         for sub in ("archive", "manifest", "recent"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         #: one held append handle per type's current segment, and one for
@@ -294,8 +312,11 @@ class Archive:
         # an archive dropped without close() still closes its handles
         weakref.finalize(self, _close_appenders, self._segments, self._manifest)
         weakref.finalize(self, os.close, self._root_fd)
-        #: the last time a store or the recent/ mark took
+        #: the last time the open or a store took
         self._last_now = self.clock.now()
+        #: the end of the hour whose segments are open: the first store
+        #: at or past it publishes them
+        self._hour_end = _end_of_hour(self._last_now)
         # read unlocked first, so that a process writing this root waits
         # only for the lines it appended meanwhile and the repair
         ends: dict[str, int] = {}
@@ -303,7 +324,7 @@ class Archive:
         with self._root_locked():
             self._load_manifests(done, ends, repair=True)
             self._truncate_segments(ends)
-        self._mark_recent()
+        self._prune_recent()
 
     @contextmanager
     def _root_locked(self):
@@ -317,8 +338,8 @@ class Archive:
 
     def _now(self) -> datetime:
         """The clock's time, but never before the last one taken: a clock
-        stepped back must not file a store before an earlier one or the
-        recent/ mark. Call with the store lock held."""
+        stepped back must not file a store before an earlier one, or in a
+        segment already closed. Call with the store lock held."""
         self._last_now = max(self.clock.now(), self._last_now)
         return self._last_now
 
@@ -399,11 +420,14 @@ class Archive:
     def _truncate_segments(self, ends: dict[str, int]) -> None:
         """Cut each segment back to its committed end: with the root lock
         held, bytes past it are a store that crashed before its manifest
-        line was whole."""
+        line was whole. Then publish it if it is recognized, closed and
+        recent."""
+        current, cutoff = _hour(self._last_now), _hour(self._last_now - RECENT_RETENTION)
         base = self.root / "archive"
         for path in base.glob("*/[0-9][0-9][0-9][0-9]/[0-9][0-9]/*"):
             rel = path.relative_to(base).as_posix()
-            if not _SEGMENT_RE.fullmatch(rel):
+            segment = _SEGMENT_RE.fullmatch(rel)
+            if not segment:
                 continue
             size = path.stat().st_size
             committed = ends.get(rel, 0)
@@ -411,6 +435,9 @@ class Archive:
                 os.truncate(path, committed)
                 log.warning("event=segment_torn_tail file=%s dropped_bytes=%d",
                             rel, size - committed)
+            if (cutoff <= path.name[-13:] < current
+                    and segment.group(1) != UNRECOGNIZED_DIR):
+                self._publish(rel)
 
     def _append_manifest(self, entry: ArchiveEntry) -> None:
         """Append the entry's line to its month's manifest; call with the
@@ -511,6 +538,8 @@ class Archive:
             if kept is not None:
                 return kept
             stored_at = self._now()
+            if stored_at >= self._hour_end:
+                self._close_hour(stored_at)
             segment = sys.intern(segment_path(type_name, stored_at))
             appender = self._segments.get(raw.doctype)
             if appender is None:
@@ -569,84 +598,47 @@ class Archive:
 
     # -- recent/ ------------------------------------------------------------------
 
-    def _mark_recent(self) -> None:
-        """Start the next snapshot's run here: at this time, and past what
-        each type's segment for this hour already holds. Call with the
-        store lock held (or before the archive is shared), so that no
-        store is between its append and its index entry."""
-        now = self._now()
-        hour = now.replace(minute=0, second=0, microsecond=0)
-        ends = {}
-        for doctype, found in self._by_type.items():
-            segment = segment_path(found[0].type_name, now)
-            ends[doctype] = max((e.offset + e.size_bytes for e in self.of_type(doctype, hour)
-                                 if e.segment == segment), default=0)
-        self._recent_since, self._recent_ends = now, ends
-
-    def recent_snapshot(self, run_id: str | None = None) -> list[Path]:
-        """One concatenated annotated file per doctype for the documents
-        stored since the last snapshot (or the open), then prune anything
-        in recent/ older than 72 hours."""
-        by_type: dict[str, list[ArchiveEntry]] = {}
-        with self._store_lock, self._lock:
-            since = self._recent_since
-            for doctype, found in self._by_type.items():
-                if doctype is None:
-                    continue
-                # the mark's own segment holds older documents below its end
-                marked = segment_path(doctype.dirname, since)
-                end = self._recent_ends.get(doctype, 0)
-                group = [e for e in self.of_type(doctype, since)
-                         if e.segment != marked or e.offset >= end]
-                if group:
-                    by_type[doctype.dirname] = sorted(
-                        group, key=attrgetter("segment", "offset"))
-            self._mark_recent()
-        stamp = run_id or fmt_compact(self.clock.now())
-        written: list[Path] = []
-        for dirname, group in sorted(by_type.items()):
-            data = b"".join(self._read_entry(entry) for entry in group)
-            out = self.root / "recent" / f"{stamp}-{dirname}"
-            tmp = out.parent / f".tmp-{uuid.uuid4().hex}"
-            with self._gate.held(), open(tmp, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, out)
-            written.append(out)
+    def _close_hour(self, now: datetime) -> None:
+        """Publish the hour that ended before ``now``: each recognized
+        type's segment of it, whether this process or an earlier one wrote
+        it, and close the append handles, all on segments of that hour.
+        Call with the store lock held, so every append to them is
+        committed."""
+        start = self._hour_end - timedelta(hours=1)
+        for doctype in self._by_type:
+            stored = self.of_type(doctype, start)
+            if doctype is not None and stored and stored[0].stored_at < self._hour_end:
+                self._publish(stored[0].segment)
+        for appender in self._segments.values():
+            appender.close()
+        self._hour_end = _end_of_hour(now)
         self._prune_recent()
-        return written
+
+    def _publish(self, segment: str) -> None:
+        """Hard-link a closed segment into recent/ under its own name."""
+        name = segment.rpartition("/")[2]
+        try:
+            os.link(self.root / "archive" / segment, self.root / "recent" / name)
+        except FileExistsError:
+            pass  # published by an earlier open or process
+        except OSError as exc:
+            log.warning("event=recent_link_failed file=%s error=%r", name, exc)
 
     def _prune_recent(self) -> None:
-        """Drop snapshots older than RECENT_RETENTION by their stamp, and
-        temp files a crashed snapshot left, by their mtime (an in-flight
-        one is seconds old)."""
-        cutoff = self.clock.now() - RECENT_RETENTION
-        stale_mtime = time.time() - RECENT_RETENTION.total_seconds()
+        """Drop the files in recent/ whose hour ended RECENT_RETENTION ago
+        or earlier."""
+        cutoff = _hour(self._last_now - RECENT_RETENTION)
         for path in (self.root / "recent").iterdir():
-            if path.name.startswith(".tmp-"):
-                try:
-                    if path.stat().st_mtime < stale_mtime:
-                        path.unlink()
-                        log.info("event=recent_pruned file=%s", path.name)
-                except FileNotFoundError:
-                    pass  # renamed into place meanwhile
-                continue
-            try:
-                stamp = parse_compact(path.name[:19])
-            except ValueError:
-                continue
-            if stamp < cutoff:
+            hour = _HOUR_RE.search(path.name)
+            if hour and hour.group() < cutoff:
                 path.unlink(missing_ok=True)
                 log.info("event=recent_pruned file=%s", path.name)
 
     # -- index ----------------------------------------------------------------------
 
-    def build_index(self, task_status: dict[str, str] | None = None) -> IndexFile:
+    def build_index(self) -> IndexFile:
         """The index as of now; writing it out is the service's job."""
-        if task_status is not None:
-            with self._lock:
-                self._task_status = dict(task_status)
         with self._lock:
-            status = dict(self._task_status)
             entries = sorted(
                 (e for found in self._by_type.values() for e in found),
                 key=lambda e: (
@@ -656,22 +648,16 @@ class Archive:
                 ),
             )
         generated = fmt_ts(max(e.stored_at for e in entries)) if entries else _EPOCH_TS
-        return IndexFile(generated, status, tuple(entries))
+        return IndexFile(generated, tuple(entries))
 
     # -- integrity --------------------------------------------------------------------
 
-    def verify_integrity(self, window: tuple[datetime, datetime] | None = None) -> IntegrityReport:
-        """Rehash files and count dangling references from statuses.
-
-        ``window`` bounds the doc_datetime of both the files checked and
-        the votes/consensuses whose references are counted.
-        """
+    def verify_integrity(self) -> IntegrityReport:
+        """Rehash files and count dangling references from statuses."""
         report = IntegrityReport()
         referencing = (DocType.Vote, DocType.ConsensusNs, DocType.ConsensusMicrodesc)
         missing_digests: set[str] = set()
         for entry in self.entries():
-            if window is not None and not (window[0] <= entry.doc_datetime < window[1]):
-                continue
             report.checked += 1
             try:
                 raw = self.load_entry(entry)
@@ -763,7 +749,7 @@ def index_json_bytes(index: IndexFile) -> bytes:
     """Serialize with fixed field order and two-space indentation."""
     doc = {
         "generated_at": index.generated_at,
-        "task_status": dict(sorted(index.task_status.items())),
+        "task_status": {},
         "entries": [
             {
                 "path": e.path,

@@ -209,7 +209,6 @@ class Service:
         """A single collection pass; safe to run repeatedly."""
         self.seed_from_archive()
         stored = sum(plugin.run_once() for plugin in self.plugins)
-        self.archive.recent_snapshot()
         write_index(self.archive)
         log.info("event=once_complete stored=%d", stored)
         return stored
@@ -300,18 +299,21 @@ def _cmd_run(config: Config) -> int:
 
 
 def _cmd_serve(config: Config) -> int:
-    service = Service(config)
-    service.dirserver.start()
-    log.info("event=serving listen=%s", service.dirserver.address)
+    archive = _open_archive(config)
+    server = DirServer(archive, archive.clock, listen=config.listen,
+                       status_provider=lambda: {"counts": archive.counts()})
+    server.start()
+    log.info("event=serving listen=%s", server.address)
     try:
         _wait_for_signal()
     finally:
-        service.dirserver.stop()
+        server.stop()
+        archive.close()
     return 0
 
 
 def _open_archive(config: Config) -> Archive:
-    """The archive alone, for the commands that neither collect nor serve."""
+    """The archive alone, for the commands that do not collect."""
     return Archive(config.archive_root, SystemClock(),
                    max_open_files=config.max_open_files,
                    missing_threshold=config.missing_threshold)

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
@@ -253,48 +252,127 @@ def test_duplicated_manifest_line_is_one_entry(tmp_path, clock):
 # --- recent/ ----------------------------------------------------------------
 
 
-def test_recent_snapshot_concatenates_run(arch, clock):
-    for i in range(25):
-        store_doc(arch, _descriptor_variant(i))
-    written = arch.recent_snapshot()
-    assert len(written) == 1
-    data = written[0].read_bytes()
-    assert data.count(b"@type server-descriptor 1.0\n") == 25
-    assert written[0].name.endswith("-server-descriptor")
+def recent_files(arch):
+    return {p.name: p for p in (arch.root / "recent").iterdir()}
 
 
-def test_recent_snapshot_empty_run(arch):
-    assert arch.recent_snapshot() == []
+def assert_published(arch, segment):
+    link = arch.root / "recent" / segment.name
+    assert link.stat().st_ino == segment.stat().st_ino
+    assert link.read_bytes() == segment.read_bytes()
 
 
-def test_recent_snapshot_splits_runs_within_one_second(arch):
-    store_doc(arch, _descriptor_variant(1))
-    (first,) = arch.recent_snapshot("a")
-    store_doc(arch, _descriptor_variant(2))  # same clock second, same segment
-    (second,) = arch.recent_snapshot("b")
-    assert first.read_bytes() == b"@type server-descriptor 1.0\n" + _descriptor_variant(1)
-    assert second.read_bytes() == b"@type server-descriptor 1.0\n" + _descriptor_variant(2)
-    assert arch.recent_snapshot("c") == []
+def test_hour_turn_links_each_closed_segment(arch, clock):
+    closed = [store_doc(arch, body) for body in
+              (_descriptor_variant(0), _descriptor_variant(1), docs.EXTRA_INFO, docs.VOTE)]
+    raw = docparse.make_raw(docs.TORPERF, "test", NOW, DocType.TorperfResults)
+    closed.append(arch.store(raw, DocumentIdentifier(
+        DocType.TorperfResults, "op-nl-51200", NOW, raw.digests)))
+    assert recent_files(arch) == {}  # the hour is still open
+    clock.advance(3600)
+    current = store_doc(arch, docs.MICRODESCRIPTOR)
+    segments = {segment_of(arch, e) for e in closed}
+    assert sorted(recent_files(arch)) == sorted(s.name for s in segments)
+    for segment in segments:
+        assert_published(arch, segment)
+    assert segment_of(arch, current).name not in recent_files(arch)
 
 
-def test_recent_snapshot_leaves_out_what_an_earlier_process_stored(tmp_path, clock):
-    store_doc(Archive(tmp_path / "data", clock), docs.SERVER_DESCRIPTOR)
+def test_reopen_in_a_later_hour_publishes_closed_segments(tmp_path, clock):
+    first = Archive(tmp_path / "data", clock)
+    entry = store_doc(first, docs.SERVER_DESCRIPTOR)
+    first.close()
+    assert recent_files(Archive(tmp_path / "data", clock)) == {}
+    clock.advance(3600)
     reopened = Archive(tmp_path / "data", clock)
-    assert reopened.recent_snapshot() == []
-    store_doc(reopened, _descriptor_variant(1))
-    (written,) = reopened.recent_snapshot()
-    assert written.read_bytes() == b"@type server-descriptor 1.0\n" + _descriptor_variant(1)
+    assert list(recent_files(reopened)) == [segment_of(reopened, entry).name]
+    assert_published(reopened, segment_of(reopened, entry))
+    Archive(tmp_path / "data", clock)  # linked already: nothing to do
+    assert list(recent_files(reopened)) == [segment_of(reopened, entry).name]
 
 
-def test_recent_snapshot_keeps_stores_after_the_clock_steps_back(arch, clock):
-    store_doc(arch, _descriptor_variant(1))
-    clock.advance(30)
-    arch.recent_snapshot("a")
+def test_hour_turn_publishes_what_an_earlier_process_stored_that_hour(tmp_path, clock):
+    entry = store_doc(Archive(tmp_path / "data", clock), docs.CONSENSUS_NS)
+    running = Archive(tmp_path / "data", clock)  # opened in the same hour
+    clock.advance(3600)
+    store_doc(running, docs.SERVER_DESCRIPTOR)
+    assert list(recent_files(running)) == [segment_of(running, entry).name]
+    assert_published(running, segment_of(running, entry))
+
+
+def test_a_clock_stepped_back_never_appends_to_a_published_segment(arch, clock):
+    first = store_doc(arch, _descriptor_variant(1))
+    clock.advance(3600)
+    store_doc(arch, docs.MICRODESCRIPTOR)
+    published = recent_files(arch)[segment_of(arch, first).name].read_bytes()
     clock.advance(-3600)  # the wall clock is set back an hour
     later = store_doc(arch, _descriptor_variant(2))
-    (written,) = arch.recent_snapshot("b")
-    assert written.read_bytes() == b"@type server-descriptor 1.0\n" + _descriptor_variant(2)
+    assert later.segment.endswith("-2018-11-15-20")
+    assert segment_of(arch, first).read_bytes() == published
     assert arch.of_type(DocType.ServerDescriptor)[-1] == later
+
+
+def test_torn_segment_tail_is_cut_before_its_segment_is_linked(tmp_path, clock):
+    root = tmp_path / "data"
+    bodies = [_descriptor_variant(i) for i in range(2)]
+    _crash_while_storing(root, bodies, fail_at=3, keep=0.5)  # mid-segment
+    clock.advance(3600)
+    arch = Archive(root, clock)
+    (first,) = arch.entries()
+    segment = segment_of(arch, first)
+    assert segment.read_bytes() == b"@type server-descriptor 1.0\n" + bodies[0]
+    assert_published(arch, segment)
+
+
+def test_unrecognized_segments_are_never_linked(tmp_path, clock):
+    arch = Archive(tmp_path / "data", clock)
+    blob = store_doc(arch, b"zzzz total junk\n")
+    descriptor = store_doc(arch, docs.SERVER_DESCRIPTOR)
+    clock.advance(3600)
+    store_doc(arch, docs.EXTRA_INFO)
+    assert segment_of(arch, blob).exists()
+    assert list(recent_files(arch)) == [segment_of(arch, descriptor).name]
+    clock.advance(3600)
+    assert sorted(recent_files(Archive(tmp_path / "data", clock))) == sorted(
+        [segment_of(arch, descriptor).name, "extra-info-2018-11-15-20"])
+
+
+def test_failed_link_leaves_the_store_committed(arch, clock, monkeypatch, caplog):
+    def refuse(src, dst):
+        raise PermissionError(errno.EPERM, "not permitted", str(dst))
+
+    first = store_doc(arch, docs.SERVER_DESCRIPTOR)
+    monkeypatch.setattr(archive_module.os, "link", refuse)
+    clock.advance(3600)
+    later = store_doc(arch, _descriptor_variant(1))
+    monkeypatch.undo()
+    assert recent_files(arch) == {}
+    assert arch.entries() == [first, later]
+    assert arch.load_entry(later).body == _descriptor_variant(1)
+    assert Archive(arch.root, clock).counts() == {"server-descriptor": 2}
+    assert any("event=recent_link_failed" in r.getMessage()
+               and segment_of(arch, first).name in r.getMessage() for r in caplog.records)
+
+
+def test_recent_pruned_after_72h(tmp_path, clock):
+    arch = Archive(tmp_path / "data", clock)
+    # a snapshot left by the older format, named by the time it was taken
+    snapshot = arch.root / "recent" / "2018-11-15-19-05-00-server-descriptor"
+    snapshot.write_bytes(b"@type server-descriptor 1.0\n" + docs.SERVER_DESCRIPTOR)
+    store_doc(arch, docs.SERVER_DESCRIPTOR)
+    clock.advance(3600)
+    store_doc(arch, _descriptor_variant(1))
+    clock.set(parse_ts("2018-11-18 19:59:59"))
+    store_doc(arch, _descriptor_variant(2))  # hour 19 ended 71:59:59 ago
+    assert sorted(recent_files(arch)) == [
+        snapshot.name, "server-descriptor-2018-11-15-19", "server-descriptor-2018-11-15-20"]
+    clock.set(parse_ts("2018-11-18 20:00:00"))
+    Archive(tmp_path / "data", clock)  # the open prunes
+    assert sorted(recent_files(arch)) == [
+        "server-descriptor-2018-11-15-20", "server-descriptor-2018-11-18-19"]
+    clock.set(parse_ts("2018-11-18 21:00:00"))
+    store_doc(arch, _descriptor_variant(3))  # and so does an hour turn
+    assert sorted(recent_files(arch)) == ["server-descriptor-2018-11-18-19"]
 
 
 def _holds_entries(value):
@@ -312,31 +390,6 @@ def test_stores_hold_no_entry_outside_the_indexes(arch):
     held = [name for name, value in vars(arch).items()
             if name not in indexes and _holds_entries(value)]
     assert held == []
-    assert len(arch.recent_snapshot()[0].read_bytes().split(b"@type ")) == 55
-
-
-def test_recent_pruned_after_72h(arch, clock):
-    store_doc(arch, docs.SERVER_DESCRIPTOR)
-    (old,) = arch.recent_snapshot()
-    clock.advance(73 * 3600)
-    store_doc(arch, _descriptor_variant(1))
-    (new,) = arch.recent_snapshot()
-    assert not old.exists()
-    assert new.exists()
-
-
-def test_stale_recent_tmp_files_are_pruned(arch):
-    # a crash between a snapshot's write and its rename leaves its temp file
-    stale = arch.root / "recent" / ".tmp-crashed"
-    fresh = arch.root / "recent" / ".tmp-in-flight"
-    for path in (stale, fresh):
-        path.write_bytes(b"half a snapshot")
-    old = time.time() - 73 * 3600
-    os.utime(stale, (old, old))
-    store_doc(arch, docs.SERVER_DESCRIPTOR)
-    arch.recent_snapshot()
-    assert not stale.exists()
-    assert fresh.exists()
 
 
 # --- index -------------------------------------------------------------------
@@ -353,14 +406,14 @@ def test_index_empty_archive(arch):
 def test_index_sorted_and_stable(arch):
     for body in (docs.VOTE, docs.SERVER_DESCRIPTOR, docs.MICRODESCRIPTOR):
         store_doc(arch, body)
-    first = index_json_bytes(arch.build_index({"eager-votes": "2018-11-15 19:52:30"}))
+    first = index_json_bytes(arch.build_index())
     second = index_json_bytes(arch.build_index())
     assert first == second
     doc = json.loads(first)
     assert [e["type"] for e in doc["entries"]] == [
         "microdescriptor", "server-descriptor", "vote",
     ]
-    assert doc["task_status"] == {"eager-votes": "2018-11-15 19:52:30"}
+    assert doc["task_status"] == {}
     entry_keys = [list(e.keys()) for e in doc["entries"]]
     assert all(
         keys == ["path", "type", "sha1", "sha256", "size", "stored_at", "datetime"]
@@ -405,14 +458,6 @@ def test_integrity_clean_when_references_resolve(arch):
     assert report.checked == 3
     assert report.missing == 0
     assert not report.warn
-
-
-def test_integrity_window_excludes_other_periods(arch):
-    store_doc(arch, docs.VOTE)
-    window = (parse_ts("2018-12-01 00:00:00"), parse_ts("2018-12-02 00:00:00"))
-    report = arch.verify_integrity(window)
-    assert report.checked == 0
-    assert report.total_references == 0
 
 
 # --- import ------------------------------------------------------------------
@@ -710,19 +755,25 @@ for body in sys.stdin.buffer.read().split(b"\\0"):
 """
 
 
+def _crash_while_storing(root, bodies, fail_at, keep):
+    """Store ``bodies`` at 19:05 in a child process that dies at the
+    ``fail_at``-th write, having written ``keep`` of it."""
+    script = _CRASHING_STORE.replace("WRITE_FAULT", inspect.getsource(_WriteFault))
+    src = str(Path(archive_module.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(root), "2018-11-15 19:05:00", str(fail_at), str(keep)],
+        input=b"\0".join(bodies), env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, timeout=60)
+    assert child.returncode == 3, child.stderr.decode()
+
+
 #: the second document's appends are writes 3 (segment) and 4 (manifest)
 @pytest.mark.parametrize("fail_at, keep", [(4, 0.0), (3, 0.5), (4, 0.5)],
                          ids=["before-manifest", "mid-segment", "mid-manifest"])
 def test_crashed_store_is_cut_away_on_open(tmp_path, clock, fail_at, keep):
     root = tmp_path / "data"
     bodies = [_descriptor_variant(i) for i in range(3)]
-    script = _CRASHING_STORE.replace("WRITE_FAULT", inspect.getsource(_WriteFault))
-    src = str(Path(archive_module.__file__).resolve().parents[1])
-    child = subprocess.run(
-        [sys.executable, "-c", script, str(root), "2018-11-15 19:05:00", str(fail_at), str(keep)],
-        input=b"\0".join(bodies[:2]), env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, timeout=60)
-    assert child.returncode == 3, child.stderr.decode()
+    _crash_while_storing(root, bodies[:2], fail_at, keep)
 
     arch = Archive(root, clock)
     (first,) = arch.entries()

@@ -9,8 +9,10 @@ from datetime import datetime, timezone
 import pytest
 
 import sample_docs
+from dircollect import service as service_module
 from dircollect.archive import Archive
 from dircollect.clock import ManualClock, SystemClock
+from dircollect.dirserver import DirServer
 from dircollect.docmodel import DocType
 from dircollect.errors import ConfigError
 from dircollect.fetcher import Role, ServerEndpoint
@@ -322,6 +324,32 @@ class TestCli:
         root = str(tmp_path / "data")
         assert main(["--archive-root", root, "index"]) == 0
         assert (tmp_path / "data" / "index.json").exists()
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+    def test_serve_opens_the_archive_and_a_server_alone(self, tmp_path, caplog,
+                                                         monkeypatch):
+        incoming = tmp_path / "incoming"
+        write_docs(incoming)
+        root = tmp_path / "data"
+        assert main(["--archive-root", str(root), "import", str(incoming)]) == 0
+        servers, answers = [], []
+
+        class Recording(DirServer):
+            def start(self):
+                super().start()
+                servers.append(self)
+
+        def query_status():
+            url = f"http://{servers[0].address}/status"
+            with urllib.request.urlopen(url, timeout=5) as resp:
+                answers.append(json.loads(resp.read()))
+
+        monkeypatch.setattr(service_module, "DirServer", Recording)
+        monkeypatch.setattr(service_module, "_wait_for_signal", query_status)
+        # no servers configured: relaydescs could not start
+        config = Config(archive_root=root, listen="127.0.0.1:0")
+        assert service_module._cmd_serve(config) == 0
+        assert answers == [{"counts": {"consensus": 1, "server-descriptor": 1}}]
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
 
     def test_config_errors_exit_2(self, tmp_path):
