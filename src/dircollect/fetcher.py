@@ -109,7 +109,6 @@ class Fetcher:
         timeout: float = TIMEOUT,
         max_body: int = MAX_BODY,
         max_batch: int = MAX_BATCH,
-        per_server_inflight: int = PER_SERVER_INFLIGHT,
         global_inflight: int = GLOBAL_INFLIGHT,
     ):
         self.clock = clock or SystemClock()
@@ -117,7 +116,6 @@ class Fetcher:
         self.timeout = timeout
         self.max_body = max_body
         self.max_batch = max_batch
-        self._per_server_limit = per_server_inflight
         self._global = threading.BoundedSemaphore(global_inflight)
         self._per_server: dict[str, threading.BoundedSemaphore] = {}
         self._sem_lock = threading.Lock()
@@ -127,7 +125,7 @@ class Fetcher:
     def _server_sem(self, server_id: str) -> threading.BoundedSemaphore:
         with self._sem_lock:
             return self._per_server.setdefault(
-                server_id, threading.BoundedSemaphore(self._per_server_limit)
+                server_id, threading.BoundedSemaphore(PER_SERVER_INFLIGHT)
             )
 
     def get(self, server: ServerEndpoint, path: str) -> bytes:
@@ -144,7 +142,12 @@ class Fetcher:
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                     length = resp.headers.get("Content-Length")
-                    if length and int(length) > self.max_body:
+                    try:
+                        advertised = int(length or 0)
+                    except ValueError:  # counted and mapped below like any bad response
+                        raise http.client.HTTPException(
+                            f"bad Content-Length {length!r}") from None
+                    if advertised > self.max_body:
                         raise TooLarge(f"{url}: advertised {length} bytes")
                     body = resp.read(self.max_body + 1)
                     encoding = resp.headers.get("Content-Encoding", "")

@@ -12,9 +12,8 @@ daily measurement files.
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Callable
 from urllib.parse import urlsplit
 
@@ -51,7 +50,7 @@ class PluginContext:
     fetcher: Fetcher
     clock: Clock
     scheduler: Scheduler
-    refchecker: ReferenceChecker | None = None
+    refchecker: ReferenceChecker
     servers: list[ServerEndpoint] = field(default_factory=list)
     settings: dict = field(default_factory=dict)
     metrics: Metrics = field(default_factory=Metrics)
@@ -106,10 +105,6 @@ class Plugin:
 
     def register_jobs(self, scheduler: Scheduler) -> None:
         """Hook for plugins that want scheduler time."""
-
-    def permanently_missed_count(self) -> int:
-        """Documents missed for good since start, for `/status`."""
-        return 0
 
     def run_once(self) -> int:
         """One unscheduled collection pass; returns documents stored."""
@@ -186,8 +181,6 @@ class RelayDescsPlugin(Plugin):
     name = "relaydescs"
 
     def __init__(self, context: PluginContext):
-        if context.refchecker is None:
-            raise PluginInitError("relaydescs needs a reference checker")
         if not context.servers:
             raise PluginInitError("relaydescs needs at least one directory server")
         self.archive = context.archive
@@ -196,7 +189,6 @@ class RelayDescsPlugin(Plugin):
         self.scheduler = context.scheduler
         self.refchecker = context.refchecker
         self.servers = list(context.servers)
-        self.metrics = context.metrics
         self.host: PluginHost | None = None
         tasks = context.settings.get("tasks", {})
         check = tasks.get("reference_check", {})
@@ -204,6 +196,8 @@ class RelayDescsPlugin(Plugin):
         greedy = tasks.get("greedy_discovery", {})
         self.greedy_enabled = bool(greedy.get("enabled", False))
         self.greedy_interval = float(greedy.get("interval_seconds", 3600.0))
+        if self.check_interval <= 0 or (self.greedy_enabled and self.greedy_interval <= 0):
+            raise PluginInitError("relaydescs task intervals must be positive")
 
     # -- scheduling ----------------------------------------------------------
 
@@ -376,9 +370,6 @@ class RelayDescsPlugin(Plugin):
                     continue
                 self.admit(entry, docparse.parse_admitted(raw))
 
-    def permanently_missed_count(self) -> int:
-        return self.refchecker.permanently_missed_count()
-
     # -- fetch strategies ------------------------------------------------------
 
     def _fetch_from_authority(
@@ -470,7 +461,8 @@ class OnionPerfPlugin(Plugin):
 
     Each day's files are collected the morning after; a missing file is
     retried on later days while it is still fresh, but a 404 means it
-    will never exist and is never asked for again.
+    will never exist: it goes into the reference checker's permanent-miss
+    ledger and is never asked for again.
     """
 
     name = "onionperf"
@@ -493,12 +485,8 @@ class OnionPerfPlugin(Plugin):
         self.archive = context.archive
         self.fetcher = context.fetcher
         self.clock = context.clock
-        self.metrics = context.metrics
+        self.refchecker = context.refchecker
         self.host: PluginHost | None = None
-        #: permanently missed measurement file -> its day; days older
-        #: than RETAIN_DAYS are never expected again, so they are dropped
-        self._missed: dict[str, date] = {}
-        self._lock = threading.Lock()
 
     def register_jobs(self, scheduler: Scheduler) -> None:
         scheduler.add_daily("onionperf", self.collect, at=self.daily_at)
@@ -508,19 +496,16 @@ class OnionPerfPlugin(Plugin):
         self.host.run_cycle(self)
 
     def expectations(self) -> list[DocumentIdentifier]:
-        today = self.clock.now().date()
-        oldest = today - timedelta(days=self.RETAIN_DAYS)
-        with self._lock:
-            self._missed = {key: day for key, day in self._missed.items()
-                            if day >= oldest}
-            missed = set(self._missed)
+        now = self.clock.now()
+        self.refchecker.prune(now)
+        today = now.date()
         out: list[DocumentIdentifier] = []
         for source in sorted(self.hosts):
             for size in self.sizes:
                 for back in range(1, self.RETAIN_DAYS + 1):
                     ident = self._ident(source, size,
                                         today - timedelta(days=back))
-                    if ident.key() not in missed and not self.archive.contains(ident):
+                    if not self.refchecker.missed(ident) and not self.archive.contains(ident):
                         out.append(ident)
         return out
 
@@ -533,16 +518,11 @@ class OnionPerfPlugin(Plugin):
             raw = self.fetcher.fetch_onionperf(
                 base, source, int(size), docid.datetime.date())
         except PermanentMiss:
-            with self._lock:
-                self._missed[docid.key()] = docid.datetime.date()
-            self.metrics.incr("onionperf.permanent_misses")
-            log.info("event=permanent_miss doc=%s", docid.key())
+            # expected up to RETAIN_DAYS after its day, so its window ends then
+            self.refchecker.miss(
+                docid, docid.datetime + timedelta(days=self.RETAIN_DAYS + 1), "gone")
             raise
         return [raw]
-
-    def permanently_missed_count(self) -> int:
-        """Files missed for good since start, pruned or not."""
-        return self.metrics.counter("onionperf.permanent_misses")
 
     @staticmethod
     def _ident(source: str, size: int, day) -> DocumentIdentifier:

@@ -4,7 +4,8 @@ Holds the references of every status document (vote, consensus,
 detached signature) and server descriptor admitted in the last three
 hours, extracted once when the document arrives; filters them against
 the archive to produce download expectations; guesses period documents
-that should exist by now from the consensus timing alone; and keeps the
+that should exist by now from the consensus timing alone; keeps the one
+ledger of documents every plugin has missed for good; and keeps the
 one-attempt ledger that stops a (document, server) pair being asked
 twice in the same downloader phase.
 """
@@ -80,7 +81,7 @@ class ReferenceChecker:
         self._lock = threading.RLock()
         self._referrers: dict[str, _Referrer] = {}
         self._guessed: dict[str, _Guess] = {}
-        #: permanently missed guess -> the end of its window
+        #: permanently missed document -> the end of its window
         self._missed: dict[str, datetime] = {}
         self._attempts: set[tuple[str, str]] = set()
         self._phase_tag: object = None
@@ -147,10 +148,9 @@ class ReferenceChecker:
         out: list[DocumentIdentifier] = []
 
         def consider(ident: DocumentIdentifier, window_end: datetime) -> None:
+            if self.missed(ident):
+                return
             key = ident.key()
-            with self._lock:
-                if key in self._missed:
-                    return
             if self.archive.contains(ident):
                 with self._lock:
                     self._guessed.pop(key, None)
@@ -189,12 +189,26 @@ class ReferenceChecker:
             for key, guess in expired:
                 del self._guessed[key]
                 if not self.archive.contains(guess.ident):
-                    self._missed[key] = guess.window_end
-                    self.metrics.incr("refchecker.permanently_missed")
-                    log.info("event=permanently_missed key=%s", key)
+                    self.miss(guess.ident, guess.window_end, "window_closed")
+
+    # -- permanent misses ----------------------------------------------------------
+
+    def miss(self, docid: DocumentIdentifier, until: datetime, reason: str) -> None:
+        """Record a document missed for good; it is never asked for again.
+        ``until`` is the end of its window: `prune` drops the entry once
+        that lies more than REFERRER_WINDOW behind."""
+        key = docid.key()
+        with self._lock:
+            self._missed[key] = until
+        self.metrics.incr("refchecker.permanently_missed")
+        log.info("event=permanently_missed key=%s reason=%s", key, reason)
+
+    def missed(self, docid: DocumentIdentifier) -> bool:
+        with self._lock:
+            return docid.key() in self._missed
 
     def permanently_missed_count(self) -> int:
-        """Guesses missed for good since start, pruned or not."""
+        """Documents missed for good since start, pruned or not."""
         return self.metrics.counter("refchecker.permanently_missed")
 
     # -- expectations -------------------------------------------------------------

@@ -144,9 +144,9 @@ class Scheduler:
         self._put(_Job("eager-signatures", action, None, eager="task2"))
 
     def add_interval(self, name: str, action: Callable[[], None],
-                     every_seconds: float, start_delay: float = 0.0) -> None:
-        first = self._clock.now() + timedelta(seconds=start_delay)
-        self._put(_Job(name, action, first, interval=timedelta(seconds=every_seconds)))
+                     every_seconds: float) -> None:
+        self._put(_Job(name, action, self._clock.now(),
+                       interval=timedelta(seconds=every_seconds)))
 
     def add_daily(self, name: str, action: Callable[[], None], at: str = "00:15") -> None:
         self._put(_Job(name, action, next_daily(self._clock.now(), at), daily_at=at))
@@ -163,8 +163,8 @@ class Scheduler:
         with self._lock:
             if self._timings is not None and timings.valid_after <= self._timings.valid_after:
                 return
+            sched = compute_schedule(timings)  # raises before anything is adopted
             self._timings = timings
-            sched = compute_schedule(timings)
             now = self._clock.now()
             for job in self._jobs.values():
                 if job.eager == "task1":

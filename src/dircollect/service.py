@@ -224,8 +224,7 @@ class Service:
             "counts": self.archive.counts(),
             "expectations_pending": int(
                 self.metrics.gauge("refchecker.expectations_pending")),
-            "permanently_missed": sum(
-                p.permanently_missed_count() for p in self.plugins),
+            "permanently_missed": self.refchecker.permanently_missed_count(),
             "plugins": [p.name for p in self.plugins],
             "jobs": {name: fmt_ts(at) for name, at
                      in sorted(self.scheduler.completions().items())},

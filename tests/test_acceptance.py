@@ -38,6 +38,7 @@ from dircollect.docmodel import (
 from dircollect.fetcher import Fetcher, Role, ServerEndpoint
 from dircollect.metrics import Metrics
 from dircollect.plugins import PluginContext, PluginHost, discover
+from dircollect.refchecker import ReferenceChecker
 from dircollect.scheduler import Phase, Scheduler, compute_schedule, phase_at
 from dircollect.service import Config, Service
 from dircollect.simnet import SimNetwork, SimScenario
@@ -597,11 +598,13 @@ def test_11_onionperf_daily(capsys, tmp_path_factory):
             archive = Archive(tmp_path_factory.mktemp("perf") / "data",
                               clock, metrics)
             host = PluginHost(archive, metrics)
+            refchecker = ReferenceChecker(archive, clock, metrics=metrics)
             context = PluginContext(
                 archive=archive,
                 fetcher=Fetcher(clock),
                 clock=clock,
                 scheduler=Scheduler(clock),
+                refchecker=refchecker,
                 metrics=metrics,
                 settings={"onionperf": {"hosts": [
                     {"source": source, "url": f"http://{addr}/{source}"}
@@ -626,7 +629,7 @@ def test_11_onionperf_daily(capsys, tmp_path_factory):
                 "2018-11-20": 9,
                 "2018-11-21": 9,
             }
-            assert plugin.permanently_missed_count() == 1
+            assert refchecker.permanently_missed_count() == 1
             assert stub.log.count(victim) == 1
         finally:
             stub.shutdown()

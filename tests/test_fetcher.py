@@ -305,11 +305,45 @@ class TestTransportEdges:
         with pytest.raises(TooLarge):
             tiny.get(servers[0], "/tor/status-vote/current/consensus")
 
+    def test_malformed_content_length_is_fetch_error(self, net, servers, clock):
+        broken = ThreadingHTTPServer(("127.0.0.1", 0), _BadLengthHandler)
+        threading.Thread(target=broken.serve_forever, daemon=True).start()
+        try:
+            metrics = Metrics()
+            fetcher = Fetcher(clock, metrics=metrics, timeout=5.0)
+            bad = ServerEndpoint("broken", f"127.0.0.1:{broken.server_address[1]}",
+                                 frozenset({Role.Authority}))
+            with pytest.raises(FetchError):
+                fetcher.get(bad, "/tor/server/all")
+            assert metrics.counter("fetcher.errors") == 1
+            # one broken server must not stop the rest of the list
+            idents = [sd_ident(d) for d in net.periods[0].server_descriptors]
+            docs, unfetched = fetcher.fetch_batch(
+                DocType.ServerDescriptor, idents, [bad, servers[0]])
+            assert unfetched == [] and len(docs) == len(idents)
+            assert metrics.counter("fetcher.errors") == 2
+        finally:
+            broken.shutdown()
+            broken.server_close()
+
     def test_gzip_bodies_digested_after_decompression(self, net, servers, fetcher):
         # the simnet gzips when asked; round-tripping a consensus through
         # get() must produce the original bytes, not the compressed ones
         body = fetcher.get(servers[0], "/tor/status-vote/current/consensus")
         assert body == net.periods[0].consensus_ns
+
+
+class _BadLengthHandler(BaseHTTPRequestHandler):
+    """Answers every GET with a Content-Length that is no number."""
+
+    def do_GET(self):
+        self.send_response(200)
+        self.send_header("Content-Length", "abc")
+        self.end_headers()
+        self.wfile.write(b"whatever\n")
+
+    def log_message(self, format, *args):
+        pass
 
 
 class _MeasurementHandler(BaseHTTPRequestHandler):

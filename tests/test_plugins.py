@@ -160,24 +160,37 @@ class TestPluginHost:
         assert host.store(toy, junk_doc(2, clock.now())) is True
 
 
+def bare_context(archive, clock, **fields):
+    return PluginContext(
+        archive=archive, fetcher=Fetcher(clock), clock=clock,
+        scheduler=Scheduler(clock), refchecker=ReferenceChecker(archive, clock),
+        **fields,
+    )
+
+
 class TestDiscovery:
     def test_unknown_plugin_name_raises(self, tmp_path, clock):
         archive = Archive(tmp_path / "data", clock)
-        context = PluginContext(
-            archive=archive, fetcher=Fetcher(clock), clock=clock,
-            scheduler=Scheduler(clock),
-        )
         with pytest.raises(PluginInitError):
-            discover(["nonsense"], context, PluginHost(archive))
+            discover(["nonsense"], bare_context(archive, clock), PluginHost(archive))
 
     def test_broken_plugin_is_skipped_not_fatal(self, tmp_path, clock):
-        # relaydescs cannot start without a reference checker or servers;
-        # the registry logs it and moves on.
+        # relaydescs cannot start without servers; the registry logs it
+        # and moves on.
         archive = Archive(tmp_path / "data", clock)
         metrics = Metrics()
-        context = PluginContext(
-            archive=archive, fetcher=Fetcher(clock), clock=clock,
-            scheduler=Scheduler(clock), metrics=metrics,
+        context = bare_context(archive, clock, metrics=metrics)
+        assert discover(["relaydescs"], context, PluginHost(archive)) == []
+        assert metrics.counter("plugins.init_failures") == 1
+
+    def test_non_positive_interval_is_refused(self, tmp_path, clock):
+        # an interval of 0 would spin the scheduler forever under its lock
+        archive = Archive(tmp_path / "data", clock)
+        metrics = Metrics()
+        context = bare_context(
+            archive, clock, metrics=metrics,
+            servers=[ServerEndpoint("a", "127.0.0.1:1", frozenset({Role.Authority}))],
+            settings={"tasks": {"reference_check": {"interval_seconds": 0}}},
         )
         assert discover(["relaydescs"], context, PluginHost(archive)) == []
         assert metrics.counter("plugins.init_failures") == 1
@@ -503,11 +516,13 @@ def perf_rig(tmp_path, clock, tpf_host, sizes=(51200,)):
     base = f"http://127.0.0.1:{tpf_host.server_address[1]}"
     archive = Archive(tmp_path / "data", clock)
     metrics = Metrics()
+    refchecker = ReferenceChecker(archive, clock, metrics=metrics)
     context = PluginContext(
         archive=archive,
         fetcher=Fetcher(clock, metrics=metrics, timeout=5.0),
         clock=clock,
         scheduler=Scheduler(clock, metrics),
+        refchecker=refchecker,
         settings={"onionperf": {
             "hosts": [{"source": "op-ab", "url": base}],
             "sizes": list(sizes),
@@ -517,7 +532,7 @@ def perf_rig(tmp_path, clock, tpf_host, sizes=(51200,)):
     host = PluginHost(archive, metrics)
     (plugin,) = discover(["onionperf"], context, host)
     return SimpleNamespace(archive=archive, host=host, plugin=plugin,
-                           context=context)
+                           refchecker=refchecker, context=context)
 
 
 class TestOnionPerf:
@@ -562,7 +577,7 @@ class TestOnionPerf:
         missing = [p for p in tpf_host.paths
                    if p == "/op-ab-51200-2018-11-14.tpf"]
         assert len(missing) == 1
-        assert rig.plugin.permanently_missed_count() == 1
+        assert rig.refchecker.permanently_missed_count() == 1
         assert rig.archive.counts() == {"torperf": 3}  # day 16 arrived on the 17th
 
     def test_missed_days_age_out_of_the_ledger(self, tmp_path, tpf_host):
@@ -571,15 +586,13 @@ class TestOnionPerf:
         rig.plugin.collect()  # days 13-15, none served
         clock.set(ts(0, 20, day=20))
         rig.plugin.collect()  # days 17-19, none served
-        assert rig.plugin.permanently_missed_count() == 6
-        assert sorted(rig.plugin._missed) == [
+        assert rig.refchecker.permanently_missed_count() == 6
+        assert sorted(rig.refchecker._missed) == [
             f"torperf|op-ab-51200|2018-11-{day} 00:00:00" for day in (17, 18, 19)]
 
     def test_requires_hosts(self, tmp_path, clock):
         archive = Archive(tmp_path / "data", clock)
-        context = PluginContext(
-            archive=archive, fetcher=Fetcher(clock), clock=clock,
-            scheduler=Scheduler(clock), settings={"onionperf": {"hosts": []}},
-        )
+        context = bare_context(archive, clock,
+                               settings={"onionperf": {"hosts": []}})
         with pytest.raises(PluginInitError):
             OnionPerfPlugin(context)

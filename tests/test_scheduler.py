@@ -194,6 +194,17 @@ def test_set_timings_is_idempotent(loop):
     assert not _wait_for(lambda: count[0] > 1, timeout=0.3)
 
 
+def test_rejected_timings_are_not_adopted():
+    sched = Scheduler(ManualClock(ts(19, 55)))
+    sched.set_timings(TIMINGS)
+    phase = sched.phase()
+    # 2 * 1700 + 300 s of delays leave no room in an hourly period
+    with pytest.raises(InvalidTimings):
+        sched.set_timings(ConsensusTimings(ts(20), ts(21), ts(23), 300, 1700))
+    assert sched.timings == TIMINGS
+    assert sched.phase() is phase
+
+
 def test_misfire_skips_and_never_overlaps(loop):
     clock, sched = loop
     release = threading.Event()

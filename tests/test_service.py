@@ -13,10 +13,9 @@ from dircollect import service as service_module
 from dircollect.archive import Archive
 from dircollect.clock import ManualClock, SystemClock
 from dircollect.dirserver import DirServer
-from dircollect.docmodel import DocType
+from dircollect.docmodel import DocType, DocumentIdentifier
 from dircollect.errors import ConfigError
 from dircollect.fetcher import Role, ServerEndpoint
-from dircollect.plugins import Plugin
 from dircollect.service import (
     Config,
     Service,
@@ -214,17 +213,13 @@ class TestServiceOnce:
             assert status == 200 and body, path
         service.seed_from_archive()
 
-    def test_status_sums_misses_over_every_plugin(self, tmp_path, clock):
-        class Missing(Plugin):
-            name = "missing"
-
-            def permanently_missed_count(self):
-                return 2
-
+    def test_status_reports_the_shared_miss_ledger(self, tmp_path, clock):
         service = Service(Config(archive_root=tmp_path / "data", plugins_enabled=[]),
                           clock=clock)
-        service.plugins.append(Missing())
-        assert service.status()["permanently_missed"] == 2
+        assert service.status()["permanently_missed"] == 0
+        gone = DocumentIdentifier(DocType.TorperfResults, "op-ab-51200", clock.now())
+        service.refchecker.miss(gone, clock.now(), "gone")
+        assert service.status()["permanently_missed"] == 1
 
 
 class TestServiceRun:
