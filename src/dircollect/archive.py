@@ -301,6 +301,10 @@ class Archive:
         #: each type's entries in (stored_at, path) order
         self._by_type: dict[DocType | None, list[ArchiveEntry]] = {}
         self._by_period: dict[tuple[DocType | None, datetime], list[ArchiveEntry]] = {}
+        #: bumped by ``_register`` for each entry it indexes, and by nothing
+        #: else: what was built from the indexes at one generation holds
+        #: until the next
+        self.generation = 0
         for sub in ("archive", "manifest", "recent"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         #: one held append handle per type's current segment, and one for
@@ -362,6 +366,7 @@ class Archive:
                 self._by_digest[digest] = entry
         key = (entry.doctype, entry.doc_datetime)
         self._by_period.setdefault(key, []).append(entry)
+        self.generation += 1
         return entry
 
     def _load_manifests(self, done: dict[str, int], ends: dict[str, int],

@@ -5,6 +5,11 @@ back: the current consensus per flavor, descriptors by digest batch,
 recently stored descriptors in bulk, plus the archive index and a small
 operational status document. Bodies go out exactly as they came off the
 wire (annotations stay internal to the archive).
+
+Stored bytes never change, so a body is verified on its first read only
+and then kept in memory, up to ``BODY_CACHE_BYTES`` (``verify`` still
+re-hashes from disk). The index, the bulk routes and each flavor's current
+consensus keep one snapshot, gzipped once, until the archive moves on.
 """
 
 from __future__ import annotations
@@ -14,20 +19,27 @@ import json
 import logging
 import re
 import threading
+from collections import OrderedDict
 from datetime import datetime, timedelta
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import docparse
-from .archive import Archive, index_json_bytes
+from .archive import Archive, ArchiveEntry, index_json_bytes
 from .clock import Clock
-from .docmodel import DocType
+from .docmodel import DocType, RawDocument
 from .errors import CollectorError
+from .fetcher import MAX_BATCH
 from .metrics import Metrics
 
 log = logging.getLogger("dircollect.dirserver")
 
 #: how far back /tor/server/all and /tor/extra/all reach
 BULK_WINDOW = timedelta(hours=24)
+#: the most body bytes kept in memory once verified
+BODY_CACHE_BYTES = 64 << 20
+#: zlib's default level: level 9 (gzip's default) took twice the CPU for
+#: a 1.5% smaller index
+GZIP_LEVEL = 6
 
 _HEX40 = re.compile(r"[0-9A-Fa-f]{40}\Z")
 _B64_43 = re.compile(r"[0-9A-Za-z+/]{43}\Z")
@@ -36,6 +48,15 @@ _BATCH_ROUTES = {
     "/tor/server/d/": (DocType.ServerDescriptor, "+", _HEX40),
     "/tor/extra/d/": (DocType.ExtraInfoDescriptor, "+", _HEX40),
     "/tor/micro/d/": (DocType.Microdescriptor, "-", _B64_43),
+}
+
+#: gzip in an Accept-Encoding value, and its q-value if it has one
+_GZIP_CODING = re.compile(
+    r"(?:^|,)\s*gzip\s*(?:;\s*q=([01](?:\.\d{0,3})?))?\s*(?:,|$)", re.IGNORECASE)
+
+_BULK = {
+    "/tor/server/all": DocType.ServerDescriptor,
+    "/tor/extra/all": DocType.ExtraInfoDescriptor,
 }
 
 _FLAVORS = {
@@ -62,9 +83,17 @@ class DirServer:
         self._port = int(port)
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
-        #: flavor -> (path, valid_until) of the consensus parsed last
-        #: (archive files are content-addressed: a path's bytes never change)
-        self._consensus_validity: dict[DocType, tuple[str, datetime]] = {}
+        #: (segment, offset) -> verified body, least recently served first
+        self._bodies: OrderedDict[tuple[str, int], bytes] = OrderedDict()
+        self._body_bytes = 0
+        self._bodies_lock = threading.Lock()
+        #: route -> (key, body, gzipped body); a key is read before what its
+        #: body is built from, so a store landing mid-build files a newer
+        #: body under an older key (rebuilt once more), never the reverse
+        self._snapshots: dict[str, tuple[object, bytes, bytes]] = {}
+        #: flavor -> ((segment, offset), valid_until) of the consensus
+        #: parsed last
+        self._consensus_validity: dict[DocType, tuple[tuple[str, int], datetime]] = {}
 
     def start(self) -> None:
         self._server = ThreadingHTTPServer((self._host, self._port), _Handler)
@@ -81,6 +110,7 @@ class DirServer:
         log.info("event=dirserver_started address=%s", self.address)
 
     def stop(self) -> None:
+        """Stop serving and release the cached bodies and snapshots."""
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
@@ -88,6 +118,11 @@ class DirServer:
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+        with self._bodies_lock:
+            self._bodies.clear()
+            self._body_bytes = 0
+        self._snapshots.clear()
+        self._consensus_validity.clear()
 
     @property
     def address(self) -> str:
@@ -95,38 +130,77 @@ class DirServer:
 
     # -- request handling ----------------------------------------------------
 
-    def respond(self, path: str) -> tuple[int, bytes, str]:
-        """(status, body, content type) for a GET of ``path``."""
+    def respond(self, path: str) -> tuple[int, bytes, str, bytes | None]:
+        """(status, body, content type, the body gzipped or None) for a
+        GET of ``path``; routes served from a snapshot carry its gzip."""
         self.metrics.incr("dirserver.requests")
         if path in _FLAVORS:
-            body = self._current_consensus(_FLAVORS[path])
-            if body is None:
-                return 404, b"", "text/plain"
-            return 200, body, "text/plain"
+            return _served(self._current_consensus(path, _FLAVORS[path]), "text/plain")
 
         for prefix, (doctype, sep, pattern) in _BATCH_ROUTES.items():
             if path.startswith(prefix):
                 return self._batch(path[len(prefix):], doctype, sep, pattern)
 
-        if path in ("/tor/server/all", "/tor/extra/all"):
-            doctype = (DocType.ServerDescriptor if path == "/tor/server/all"
-                       else DocType.ExtraInfoDescriptor)
-            body = self._bulk(doctype)
-            if body is None:
-                return 404, b"", "text/plain"
-            return 200, body, "text/plain"
+        if path in _BULK:
+            return _served(self._bulk(path, _BULK[path]), "text/plain")
 
         if path == "/index.json":
-            return 200, index_json_bytes(self.archive.build_index()), "application/json"
+            snapshot = self._snapshot(
+                path, self.archive.generation,
+                lambda: index_json_bytes(self.archive.build_index()))
+            return _served(snapshot, "application/json")
 
         if path == "/status":
             status = self.status_provider() if self.status_provider else {}
             body = json.dumps(status, indent=2, sort_keys=True).encode() + b"\n"
-            return 200, body, "application/json"
+            return 200, body, "application/json", None
 
-        return 404, b"", "text/plain"
+        return 404, b"", "text/plain", None
 
-    def _current_consensus(self, flavor: DocType) -> bytes | None:
+    def _snapshot(self, route: str, key, build) -> tuple | None:
+        """``route``'s snapshot, rebuilt by ``build`` unless it was built
+        at ``key``; None, and nothing kept, when ``build`` gives no bytes.
+        No lock is held while building: two misses at once both build."""
+        snapshot = self._snapshots.get(route)
+        if snapshot is None or snapshot[0] != key:
+            body = build()
+            if not body:
+                return None
+            snapshot = (key, body, gzip.compress(body, compresslevel=GZIP_LEVEL))
+            self._snapshots[route] = snapshot
+        return snapshot
+
+    def _body(self, entry: ArchiveEntry) -> bytes:
+        """``entry``'s body, verified by ``Archive.load_entry`` on its first
+        read only; raises CollectorError, and keeps nothing, when that fails."""
+        key = (entry.segment, entry.offset)
+        with self._bodies_lock:
+            body = self._bodies.get(key)
+            if body is not None:
+                self._bodies.move_to_end(key)
+                return body
+        body = self.archive.load_entry(entry).body
+        if len(body) <= BODY_CACHE_BYTES:
+            with self._bodies_lock:
+                if key not in self._bodies:
+                    self._bodies[key] = body
+                    self._body_bytes += len(body)
+                    while self._body_bytes > BODY_CACHE_BYTES:
+                        self._body_bytes -= len(self._bodies.popitem(last=False)[1])
+        return body
+
+    def _bodies_of(self, entries) -> bytes:
+        """The servable bodies of ``entries``, concatenated in order."""
+        bodies = []
+        for entry in entries:
+            try:
+                bodies.append(self._body(entry))
+            except CollectorError as exc:
+                log.warning("event=entry_unservable path=%s error=%r",
+                            entry.path, exc)
+        return b"".join(bodies)
+
+    def _current_consensus(self, route: str, flavor: DocType) -> tuple | None:
         now = self.clock.now()
         candidates = [e for e in self.archive.of_type(flavor) if e.doc_datetime <= now]
         if not candidates:
@@ -137,47 +211,52 @@ class DirServer:
             candidates,
             key=lambda e: (e.doc_datetime, e.digests.primary_for(flavor)),
         )
+        # the entry, not the path: a path names only 8 hex digits of the digest
+        key = (best.segment, best.offset)
         validity = self._consensus_validity.get(flavor)
         try:
-            raw = self.archive.load_entry(best)
-            if validity is None or validity[0] != best.path:
-                validity = (best.path,
-                            docparse.extract_timings(docparse.parse(raw)).valid_until)
+            if validity is None or validity[0] != key:
+                raw = RawDocument(flavor, self._body(best), f"archive:{best.path}",
+                                  best.stored_at, best.digests)
+                validity = (key, docparse.extract_timings(docparse.parse(raw)).valid_until)
                 self._consensus_validity[flavor] = validity
+            if validity[1] <= now:
+                return None
+            return self._snapshot(route, key, lambda: self._body(best))
         except CollectorError as exc:
             log.warning("event=consensus_unservable path=%s error=%r", best.path, exc)
             return None
-        if validity[1] <= now:
-            return None
-        return raw.body
 
     def _batch(self, spec: str, doctype: DocType, sep: str, pattern) -> tuple:
         tokens = spec.split(sep) if spec else []
-        if not tokens or any(not pattern.match(t) for t in tokens):
-            return 400, b"", "text/plain"
-        bodies = []
-        for token in tokens:
-            entry = self.archive.find_digest_token(token)
-            if entry is None or entry.doctype is not doctype:
-                continue
-            try:
-                bodies.append(self.archive.load_entry(entry).body)
-            except CollectorError as exc:
-                log.warning("event=entry_unservable path=%s error=%r",
-                            entry.path, exc)
-        if not bodies:
-            return 404, b"", "text/plain"
-        return 200, b"".join(bodies), "text/plain"
+        if (not tokens or len(tokens) > MAX_BATCH
+                or any(not pattern.match(t) for t in tokens)):
+            return 400, b"", "text/plain", None
+        found = (self.archive.find_digest_token(token) for token in tokens)
+        body = self._bodies_of(e for e in found if e is not None and e.doctype is doctype)
+        if not body:
+            return 404, b"", "text/plain", None
+        return 200, body, "text/plain", None
 
-    def _bulk(self, doctype: DocType) -> bytes | None:
-        bodies = []
-        for entry in self.archive.of_type(doctype, self.clock.now() - BULK_WINDOW):
-            try:
-                bodies.append(self.archive.load_entry(entry).body)
-            except CollectorError as exc:
-                log.warning("event=entry_unservable path=%s error=%r",
-                            entry.path, exc)
-        return b"".join(bodies) if bodies else None
+    def _bulk(self, route: str, doctype: DocType) -> tuple | None:
+        generation = self.archive.generation
+        window = self.archive.of_type(doctype, self.clock.now() - BULK_WINDOW)
+        # one generation's list of a type is fixed, so the window's length
+        # fixes its first index: a window sliding past an entry rebuilds
+        return self._snapshot(route, (generation, len(window)),
+                              lambda: self._bodies_of(window))
+
+
+def _served(snapshot: tuple | None, ctype: str) -> tuple[int, bytes, str, bytes | None]:
+    if snapshot is None:
+        return 404, b"", "text/plain", None
+    return 200, snapshot[1], ctype, snapshot[2]
+
+
+def _accepts_gzip(accept_encoding: str) -> bool:
+    """Whether an Accept-Encoding value lists gzip with a q-value above 0."""
+    found = _GZIP_CODING.search(accept_encoding)
+    return found is not None and float(found.group(1) or 1) > 0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -189,15 +268,13 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):  # noqa: N802 (http.server API)
         srv: DirServer = self.server.dirserver
         try:
-            status, body, ctype = srv.respond(self.path.split("?", 1)[0])
+            status, body, ctype, gzipped = srv.respond(self.path.split("?", 1)[0])
         except Exception:
             log.exception("event=request_failed path=%s", self.path)
-            status, body, ctype = 500, b"", "text/plain"
+            status, body, ctype, gzipped = 500, b"", "text/plain", None
         encoding = None
-        if body and "gzip" in self.headers.get("Accept-Encoding", ""):
-            # zlib's default level: level 9 (gzip's default) took twice the
-            # CPU for a 1.5% smaller index
-            body = gzip.compress(body, compresslevel=6)
+        if body and _accepts_gzip(self.headers.get("Accept-Encoding", "")):
+            body = gzipped or gzip.compress(body, compresslevel=GZIP_LEVEL)
             encoding = "gzip"
         self.send_response(status)
         self.send_header("Content-Type", ctype)

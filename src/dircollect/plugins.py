@@ -25,7 +25,7 @@ from .errors import CollectorError, FetchError, PermanentMiss, PluginInitError
 from .fetcher import ONIONPERF_SIZES, Fetcher, ServerEndpoint
 from .metrics import Metrics
 from .refchecker import REFERRER_TYPES, REFERRER_WINDOW, ReferenceChecker
-from .scheduler import Phase, Scheduler
+from .scheduler import Phase, Scheduler, next_daily
 
 log = logging.getLogger("dircollect.plugins")
 
@@ -482,6 +482,8 @@ class OnionPerfPlugin(Plugin):
             raise PluginInitError("onionperf enabled with no hosts")
         self.sizes = tuple(int(s) for s in settings.get("sizes", ONIONPERF_SIZES))
         self.daily_at = str(settings.get("daily_at", "00:15"))
+        # parsed here, inside discover's guard, so a bad "HH:MM" skips the plugin
+        next_daily(context.clock.now(), self.daily_at)
         self.archive = context.archive
         self.fetcher = context.fetcher
         self.clock = context.clock

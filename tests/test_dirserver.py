@@ -11,10 +11,11 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 import sample_docs
-from dircollect import docparse
+from dircollect import dirserver, docparse
 from dircollect.archive import Archive, index_json_bytes
 from dircollect.clock import ManualClock
-from dircollect.dirserver import DirServer
+from dircollect.dirserver import BULK_WINDOW, DirServer
+from dircollect.fetcher import MAX_BATCH
 from dircollect.simnet import SimNetwork, SimScenario
 
 
@@ -215,3 +216,125 @@ class TestMeta:
         assert get_body(
             server, f"/tor/micro/d/{sample_docs.MICRODESCRIPTOR_SHA256_B64}"
         ) == sample_docs.MICRODESCRIPTOR
+
+
+def test_batches_are_capped_at_max_batch(server, archive, clock):
+    stored(archive, clock, sample_docs.SERVER_DESCRIPTOR)
+    fillers = [f"{n:040x}" for n in range(MAX_BATCH)]
+    tokens = [sample_docs.SERVER_DESCRIPTOR_SHA1] + fillers
+    assert get_code(server, "/tor/server/d/" + "+".join(tokens[:MAX_BATCH])) == 200
+    assert get_code(server, "/tor/server/d/" + "+".join(tokens[:MAX_BATCH + 1])) == 400
+
+
+@pytest.mark.parametrize("accept, gzipped", [
+    ("gzip", True),
+    ("gzip, deflate", True),
+    ("deflate, GZIP; q=0.5", True),
+    ("gzip;q=0", False),
+    ("gzip; q=0.000, deflate", False),
+    ("deflate", False),
+])
+def test_gzip_only_when_accepted(server, archive, clock, accept, gzipped):
+    stored(archive, clock, sample_docs.SERVER_DESCRIPTOR)
+    for path in ("/index.json", f"/tor/server/d/{sample_docs.SERVER_DESCRIPTOR_SHA1}"):
+        req = urllib.request.Request(f"http://{server.address}{path}",
+                                     headers={"Accept-Encoding": accept})
+        with urllib.request.urlopen(req, timeout=5) as resp:
+            body = resp.read()
+            assert (resp.headers.get("Content-Encoding") == "gzip") is gzipped
+        assert (gzip.decompress(body) if gzipped else body) == get_body(server, path)
+
+
+# --- the verified-body cache and the snapshots ------------------------------------
+
+
+def descriptors(clock, n):
+    """``n`` distinct server descriptors, smallest first."""
+    net = SimNetwork(
+        SimScenario(seed=5, n_authorities=1, n_relays=n, n_periods=1,
+                    period_start=ts(19)),
+        clock,
+    )
+    return sorted(net.periods[0].server_descriptors.values(), key=len)
+
+
+def counted(monkeypatch):
+    """Record each ``Archive.load_entry`` (its entry) and ``build_index`` call."""
+    calls = []
+    load_entry, build_index = Archive.load_entry, Archive.build_index
+    monkeypatch.setattr(Archive, "load_entry",
+                        lambda self, entry: calls.append(entry) or load_entry(self, entry))
+    monkeypatch.setattr(Archive, "build_index",
+                        lambda self: calls.append("build_index") or build_index(self))
+    return calls
+
+
+def batch_path(entry):
+    return f"/tor/server/d/{entry.digests.sha1_hex}"
+
+
+class TestCaches:
+    def test_second_get_reads_and_builds_nothing(self, server, archive, clock, monkeypatch):
+        entries = stored(archive, clock, *descriptors(clock, 3))
+        calls = counted(monkeypatch)
+        paths = ("/index.json", "/tor/server/all", batch_path(entries[0]))
+        first = [get_body(server, path) for path in paths]
+        assert "build_index" in calls and len(calls) == 1 + len(entries)
+        calls.clear()
+        assert [get_body(server, path) for path in paths] == first
+        for path, body in zip(paths, first):
+            with get(server, path, gzip_ok=True) as resp:
+                assert gzip.decompress(resp.read()) == body
+        assert calls == []
+
+    def test_store_between_gets_is_served(self, server, archive, clock):
+        first, second = descriptors(clock, 2)
+        stored(archive, clock, first)
+        assert get_body(server, "/tor/server/all") == first
+        get_body(server, "/index.json")
+        clock.set(clock.now() + timedelta(minutes=5))
+        stored(archive, clock, second)
+        assert get_body(server, "/index.json") == index_json_bytes(archive.build_index())
+        assert get_body(server, "/tor/server/all") == first + second
+
+    def test_window_slides_without_a_store(self, server, archive, clock):
+        first, second = descriptors(clock, 2)
+        stored(archive, clock, first)
+        clock.set(clock.now() + timedelta(hours=2))
+        stored(archive, clock, second)
+        assert get_body(server, "/tor/server/all") == first + second
+        clock.set(clock.now() + BULK_WINDOW - timedelta(hours=1))
+        assert get_body(server, "/tor/server/all") == second
+
+    def test_least_recently_served_body_is_evicted(
+            self, server, archive, clock, monkeypatch):
+        bodies = descriptors(clock, 3)
+        entries = stored(archive, clock, *bodies)
+        # room for any two of the three, never for all three
+        monkeypatch.setattr(dirserver, "BODY_CACHE_BYTES", len(bodies[1]) + len(bodies[2]))
+        calls = counted(monkeypatch)
+        for i in (0, 1, 2, 1, 0, 1):
+            assert get_body(server, batch_path(entries[i])) == bodies[i]
+            assert server._body_bytes == sum(map(len, server._bodies.values()))
+            assert server._body_bytes <= dirserver.BODY_CACHE_BYTES
+        # 0 went out for 2; 2, served before 1 was served again, went out for 0
+        assert calls == [entries[0], entries[1], entries[2], entries[0]]
+
+    def test_stop_releases_both_caches(self, server, archive, clock):
+        entries = stored(archive, clock, sample_docs.CONSENSUS_NS,
+                         sample_docs.SERVER_DESCRIPTOR)
+        for path in ("/index.json", "/tor/server/all", batch_path(entries[1]),
+                     "/tor/status-vote/current/consensus"):
+            assert get_code(server, path) == 200
+        assert server._bodies and server._snapshots
+        server.stop()
+        assert not server._bodies and not server._snapshots
+        assert server._body_bytes == 0
+
+    def test_verify_rehashes_a_served_body(self, server, archive, clock):
+        (entry,) = stored(archive, clock, sample_docs.SERVER_DESCRIPTOR)
+        assert get_body(server, batch_path(entry)) == sample_docs.SERVER_DESCRIPTOR
+        with open(archive.root / "archive" / entry.segment, "r+b") as fh:
+            fh.seek(fh.read().index(b"uptime 93600", entry.offset))
+            fh.write(b"uptime 93601")
+        assert archive.verify_integrity().corrupt == [entry.path]

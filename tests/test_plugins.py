@@ -195,6 +195,20 @@ class TestDiscovery:
         assert discover(["relaydescs"], context, PluginHost(archive)) == []
         assert metrics.counter("plugins.init_failures") == 1
 
+    @pytest.mark.parametrize("daily_at", ["7", "25:00"])
+    def test_bad_daily_time_is_refused(self, tmp_path, clock, daily_at):
+        # first parsed when the job is registered, outside discover's guard,
+        # it would kill the service instead of skipping the plugin
+        archive = Archive(tmp_path / "data", clock)
+        metrics = Metrics()
+        context = bare_context(
+            archive, clock, metrics=metrics,
+            settings={"onionperf": {"hosts": ["http://op-ab.example/"],
+                                    "daily_at": daily_at}},
+        )
+        assert discover(["onionperf"], context, PluginHost(archive)) == []
+        assert metrics.counter("plugins.init_failures") == 1
+
 
 # --- the directory-protocol plugin ---------------------------------------------
 

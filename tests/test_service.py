@@ -209,7 +209,7 @@ class TestServiceOnce:
         for path in ("/tor/status-vote/current/consensus",
                      "/tor/status-vote/current/consensus-microdesc",
                      "/tor/server/all", "/tor/extra/all", "/status"):
-            status, body, _ = service.dirserver.respond(path)
+            status, body, *_ = service.dirserver.respond(path)
             assert status == 200 and body, path
         service.seed_from_archive()
 
