@@ -85,6 +85,10 @@ log = logging.getLogger("dircollect.archive")
 
 UNRECOGNIZED_DIR = "unrecognized"
 RECENT_RETENTION = timedelta(hours=72)
+#: transient file opens allowed at once, across all threads
+MAX_OPEN_FILES = 512
+#: missing-reference ratio above which ``verify_integrity`` warns
+MISSING_THRESHOLD = 0.005
 #: generated_at for an index over an empty archive; otherwise it is the
 #: newest stored_at, so regeneration without changes is byte-identical.
 _EPOCH_TS = "1970-01-01 00:00:00"
@@ -279,19 +283,11 @@ def _close_appenders(segments: dict[DocType | None, _Appender], manifest: _Appen
 class Archive:
     """Concurrent-safe document store; see module docstring for layout."""
 
-    def __init__(
-        self,
-        root: str | Path,
-        clock: Clock,
-        metrics: Metrics | None = None,
-        max_open_files: int = 512,
-        missing_threshold: float = 0.005,
-    ):
+    def __init__(self, root: str | Path, clock: Clock, metrics: Metrics | None = None):
         self.root = Path(root)
         self.clock = clock
         self.metrics = metrics or Metrics()
-        self.missing_threshold = missing_threshold
-        self._gate = _FileGate(max_open_files, self.metrics)
+        self._gate = _FileGate(MAX_OPEN_FILES, self.metrics)
         #: guards the indexes; held only for in-memory work, so readers
         #: never wait on a store's file writes
         self._lock = threading.RLock()
@@ -679,7 +675,7 @@ class Archive:
                     if primary:
                         missing_digests.add(primary)
         report.missing = len(missing_digests)
-        report.warn = report.missing_ratio > self.missing_threshold or bool(report.corrupt)
+        report.warn = report.missing_ratio > MISSING_THRESHOLD or bool(report.corrupt)
         self.metrics.set_gauge("archive.last_missing", report.missing)
         return report
 
@@ -692,6 +688,8 @@ class Archive:
         files = [root] if root.is_file() else sorted(
             p for p in root.rglob("*") if p.is_file()
         )
+        if not root.exists():
+            report.errors.append((str(root), "no such file or directory"))
         now = self.clock.now()
         for file in files:
             try:

@@ -102,21 +102,12 @@ def _batch_key(ident: DocumentIdentifier) -> str | None:
 
 
 class Fetcher:
-    def __init__(
-        self,
-        clock: Clock | None = None,
-        metrics: Metrics | None = None,
-        timeout: float = TIMEOUT,
-        max_body: int = MAX_BODY,
-        max_batch: int = MAX_BATCH,
-        global_inflight: int = GLOBAL_INFLIGHT,
-    ):
+    def __init__(self, clock: Clock | None = None, metrics: Metrics | None = None,
+                 timeout: float = TIMEOUT):
         self.clock = clock or SystemClock()
         self.metrics = metrics or Metrics()
         self.timeout = timeout
-        self.max_body = max_body
-        self.max_batch = max_batch
-        self._global = threading.BoundedSemaphore(global_inflight)
+        self._global = threading.BoundedSemaphore(GLOBAL_INFLIGHT)
         self._per_server: dict[str, threading.BoundedSemaphore] = {}
         self._sem_lock = threading.Lock()
 
@@ -147,9 +138,9 @@ class Fetcher:
                     except ValueError:  # counted and mapped below like any bad response
                         raise http.client.HTTPException(
                             f"bad Content-Length {length!r}") from None
-                    if advertised > self.max_body:
+                    if advertised > MAX_BODY:
                         raise TooLarge(f"{url}: advertised {length} bytes")
-                    body = resp.read(self.max_body + 1)
+                    body = resp.read(MAX_BODY + 1)
                     encoding = resp.headers.get("Content-Encoding", "")
             except urllib.error.HTTPError as exc:
                 self.metrics.incr("fetcher.errors")
@@ -172,23 +163,23 @@ class Fetcher:
             except (http.client.HTTPException, ConnectionError, OSError) as exc:
                 self.metrics.incr("fetcher.errors")
                 raise FetchError(f"{url}: {exc}", server_id=server_id) from exc
-        if len(body) > self.max_body:
-            raise TooLarge(f"{url}: body exceeds {self.max_body} bytes")
+        if len(body) > MAX_BODY:
+            raise TooLarge(f"{url}: body exceeds {MAX_BODY} bytes")
         body = self._decode(body, encoding, url)
         self.metrics.incr("fetcher.bytes", len(body))
         return body
 
     def _decode(self, body: bytes, encoding: str, url: str) -> bytes:
-        """Inflate a gzip or deflate body, never past max_body bytes."""
+        """Inflate a gzip or deflate body, never past MAX_BODY bytes."""
         if encoding not in ("gzip", "deflate"):
             return body
         inflater = zlib.decompressobj(zlib.MAX_WBITS | 32)  # either header
         try:
-            out = inflater.decompress(body, self.max_body + 1)
+            out = inflater.decompress(body, MAX_BODY + 1)
         except zlib.error as exc:
             raise FetchError(f"{url}: corrupt {encoding} body: {exc}") from exc
-        if len(out) > self.max_body:
-            raise TooLarge(f"{url}: decompressed body exceeds {self.max_body} bytes")
+        if len(out) > MAX_BODY:
+            raise TooLarge(f"{url}: decompressed body exceeds {MAX_BODY} bytes")
         if not inflater.eof:
             raise FetchError(f"{url}: truncated {encoding} body")
         return out
@@ -249,8 +240,8 @@ class Fetcher:
             if doctype is DocType.ExtraInfoDescriptor and not server.serves_extra_info():
                 continue
             keys = list(remaining)
-            for i in range(0, len(keys), self.max_batch):
-                chunk = keys[i : i + self.max_batch]
+            for i in range(0, len(keys), MAX_BATCH):
+                chunk = keys[i : i + MAX_BATCH]
                 if gate is not None:
                     chunk = [
                         k for k in chunk

@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Callable
-from urllib.parse import urlsplit
 
 from . import docparse
 from .archive import Archive, ArchiveEntry
@@ -25,7 +24,7 @@ from .errors import CollectorError, FetchError, PermanentMiss, PluginInitError
 from .fetcher import ONIONPERF_SIZES, Fetcher, ServerEndpoint
 from .metrics import Metrics
 from .refchecker import REFERRER_TYPES, REFERRER_WINDOW, ReferenceChecker
-from .scheduler import Phase, Scheduler, next_daily
+from .scheduler import Phase, Scheduler
 
 log = logging.getLogger("dircollect.plugins")
 
@@ -42,6 +41,25 @@ _CONSENSUS_TYPES = frozenset({DocType.ConsensusNs, DocType.ConsensusMicrodesc})
 FetchResult = list[tuple[DocumentIdentifier | None, RawDocument]]
 
 
+@dataclass(frozen=True)
+class TasksConfig:
+    """relaydescs' jobs: the config file's ``tasks`` section."""
+
+    reference_check_interval: float = 30.0
+    greedy_enabled: bool = False
+    greedy_interval: float = 3600.0
+
+
+@dataclass(frozen=True)
+class OnionPerfConfig:
+    """The config file's ``onionperf`` section."""
+
+    #: (source, base URL) per measurement host
+    hosts: tuple[tuple[str, str], ...] = ()
+    sizes: tuple[int, ...] = ONIONPERF_SIZES
+    daily_at: str = "00:15"
+
+
 @dataclass
 class PluginContext:
     """Everything a plugin may lean on, assembled once by the service."""
@@ -52,7 +70,8 @@ class PluginContext:
     scheduler: Scheduler
     refchecker: ReferenceChecker
     servers: list[ServerEndpoint] = field(default_factory=list)
-    settings: dict = field(default_factory=dict)
+    tasks: TasksConfig = TasksConfig()
+    onionperf: OnionPerfConfig = OnionPerfConfig()
     metrics: Metrics = field(default_factory=Metrics)
 
 
@@ -190,14 +209,8 @@ class RelayDescsPlugin(Plugin):
         self.refchecker = context.refchecker
         self.servers = list(context.servers)
         self.host: PluginHost | None = None
-        tasks = context.settings.get("tasks", {})
-        check = tasks.get("reference_check", {})
-        self.check_interval = float(check.get("interval_seconds", 30.0))
-        greedy = tasks.get("greedy_discovery", {})
-        self.greedy_enabled = bool(greedy.get("enabled", False))
-        self.greedy_interval = float(greedy.get("interval_seconds", 3600.0))
-        if self.check_interval <= 0 or (self.greedy_enabled and self.greedy_interval <= 0):
-            raise PluginInitError("relaydescs task intervals must be positive")
+        self.tasks = context.tasks
+        self.check_interval = context.tasks.reference_check_interval
 
     # -- scheduling ----------------------------------------------------------
 
@@ -207,9 +220,9 @@ class RelayDescsPlugin(Plugin):
         scheduler.add_eager_signatures(self.eager_signatures)
         scheduler.add_interval("reference-check", self.check_references,
                                self.check_interval)
-        if self.greedy_enabled:
+        if self.tasks.greedy_enabled:
             scheduler.add_interval("greedy-discovery", self.greedy_discovery,
-                                   self.greedy_interval)
+                                   self.tasks.greedy_interval)
 
     def bootstrap(self) -> None:
         """First consensus; raising lets the scheduler back off and retry.
@@ -469,21 +482,11 @@ class OnionPerfPlugin(Plugin):
     RETAIN_DAYS = 3
 
     def __init__(self, context: PluginContext):
-        settings = context.settings.get("onionperf", {})
-        self.hosts: dict[str, str] = {}
-        for item in settings.get("hosts", []):
-            if isinstance(item, str):
-                hostname = urlsplit(item).hostname or ""
-                source = hostname.split(".")[0] or item
-                self.hosts[source] = item
-            else:
-                self.hosts[str(item["source"])] = str(item["url"])
-        if not self.hosts:
+        if not context.onionperf.hosts:
             raise PluginInitError("onionperf enabled with no hosts")
-        self.sizes = tuple(int(s) for s in settings.get("sizes", ONIONPERF_SIZES))
-        self.daily_at = str(settings.get("daily_at", "00:15"))
-        # parsed here, inside discover's guard, so a bad "HH:MM" skips the plugin
-        next_daily(context.clock.now(), self.daily_at)
+        self.hosts = dict(context.onionperf.hosts)
+        self.sizes = context.onionperf.sizes
+        self.daily_at = context.onionperf.daily_at
         self.archive = context.archive
         self.fetcher = context.fetcher
         self.clock = context.clock
@@ -543,17 +546,12 @@ BUILTIN: dict[str, type[Plugin]] = {
 
 def discover(names: list[str], context: PluginContext,
              host: PluginHost) -> list[Plugin]:
-    """Instantiate the named plugins; a broken one never stops the rest.
-
-    Unknown names raise immediately (a config typo should not fail
-    silently), but a plugin whose constructor blows up is logged,
-    counted and skipped.
-    """
+    """Instantiate the named `BUILTIN` plugins; a broken one never stops
+    the rest: a plugin whose constructor blows up is logged, counted and
+    skipped."""
     plugins: list[Plugin] = []
     for name in names:
-        cls = BUILTIN.get(name)
-        if cls is None:
-            raise PluginInitError(f"unknown plugin {name!r}")
+        cls = BUILTIN[name]
         try:
             plugin = cls(context)
         except Exception as exc:

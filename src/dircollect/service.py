@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import signal
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import yaml
 
@@ -26,7 +28,8 @@ from .docmodel import fmt_ts
 from .errors import CollectorError, ConfigError
 from .fetcher import Fetcher, Role, ServerEndpoint
 from .metrics import Metrics
-from .plugins import PluginContext, PluginHost, discover
+from .plugins import (BUILTIN, OnionPerfConfig, PluginContext, PluginHost,
+                      TasksConfig, discover)
 from .refchecker import ReferenceChecker
 from .scheduler import Scheduler
 
@@ -34,113 +37,171 @@ log = logging.getLogger("dircollect.service")
 
 ENV_CONFIG = "DIRCOLLECT_CONFIG"
 
-_ROLE_NAMES = {
-    "authority": Role.Authority,
-    "directory-cache": Role.DirectoryCache,
-    "dir-cache": Role.DirectoryCache,
-    "cache": Role.DirectoryCache,
-    "extra-info-cache": Role.ExtraInfoCache,
-}
-
-
-def normalize_role(name: str) -> Role:
-    key = str(name).strip().lower().replace("_", "-")
-    try:
-        return _ROLE_NAMES[key]
-    except KeyError:
-        raise ConfigError(f"unknown server role {name!r}") from None
-
 
 @dataclass
 class Config:
     archive_root: Path = Path("data")
     listen: str = "127.0.0.1:7000"
     log_level: str = "INFO"
-    max_open_files: int = 512
-    missing_threshold: float = 0.005
     plugins_enabled: list[str] = field(default_factory=lambda: ["relaydescs"])
     servers: list[ServerEndpoint] = field(default_factory=list)
-    settings: dict = field(default_factory=dict)
+    tasks: TasksConfig = TasksConfig()
+    onionperf: OnionPerfConfig = OnionPerfConfig()
+    #: the ``tasks`` and ``onionperf`` sections as raw YAML, checked as
+    #: in a config file
+    settings: InitVar[dict | None] = None
+
+    def __post_init__(self, settings):
+        for name, value in _fields(settings, "", _PLUGIN_SECTIONS).items():
+            setattr(self, name, value)
 
 
-def _require_mapping(value, where: str) -> dict:
+# --- the config format: each key, and the check its value must pass ----------
+# A check takes (value, dotted key) and returns the typed value, or raises
+# a ConfigError naming the key and the value.
+
+
+def _bad(where: str, wanted: str, value) -> ConfigError:
+    return ConfigError(f"{where} must be {wanted}, got {value!r}")
+
+
+def _mapping(value, where: str) -> dict:
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a mapping, got {type(value).__name__}")
+        raise _bad(where or "the config file", "a mapping", value)
     return value
 
 
-def _parse_servers(items) -> list[ServerEndpoint]:
-    if items is None:
-        return []
-    if not isinstance(items, list):
-        raise ConfigError("servers must be a list")
-    out = []
-    for i, item in enumerate(items):
-        entry = _require_mapping(item, f"servers[{i}]")
-        try:
-            ident = str(entry["id"])
-            address = str(entry["address"])
-        except KeyError as exc:
-            raise ConfigError(f"servers[{i}] is missing {exc.args[0]!r}") from None
-        roles = frozenset(
-            normalize_role(r) for r in entry.get("roles", ["directory-cache"])
-        ) or frozenset({Role.DirectoryCache})
-        out.append(ServerEndpoint(ident, address, roles))
+def _fields(value, where: str, spec: dict) -> dict:
+    """Check a mapping against ``spec``: key -> (field name, check), or
+    key -> the spec of a subsection. Returns the checked values by field
+    name; a key ``spec`` lacks is an error."""
+    out = {}
+    for key, item in _mapping(value, where).items():
+        path = f"{where}.{key}" if where else str(key)
+        if key not in spec:
+            raise ConfigError(f"unknown key {path}")
+        if isinstance(spec[key], dict):
+            out.update(_fields(item, path, spec[key]))
+        else:
+            out[spec[key][0]] = spec[key][1](item, path)
     return out
+
+
+def _check(kind, wanted: str, test=None, convert=None):
+    """The check that a value is a ``kind`` (a bool is no number) that
+    passes ``test``; ``convert`` makes the typed value of it."""
+    def check(value, where: str):
+        if (not isinstance(value, kind) or isinstance(value, bool) and kind is not bool
+                or test and not test(value)):
+            raise _bad(where, wanted, value)
+        return convert(value) if convert else value
+    return check
+
+
+_list = _check(list, "a list")
+_text = _check(str, "a non-empty string", bool)
+_flag = _check(bool, "true or false")
+# from a millisecond, which a timedelta does not round to zero, to ~30
+# years, which the scheduler can still add to a date
+_interval = _check((int, float), "a number of seconds from 0.001 to 1e9",
+                   lambda value: 1e-3 <= value <= 1e9, float)
+_daily_at = _check(str, 'a quoted "HH:MM" time of day',
+                   lambda value: re.fullmatch(r"([01]?[0-9]|2[0-3]):[0-5][0-9]", value))
+_sizes = _check(list, "a list of positive byte counts", lambda value: all(
+    isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in value), tuple)
+_address = _check(str, "host:port", lambda value: re.fullmatch(r".+:[0-9]{1,5}", value)
+                  and int(value.rpartition(":")[2]) < 65536)
+_log_level = _check(str, "a logging level name", lambda value: isinstance(
+    logging.getLevelName(value.upper()), int), str.upper)
+_ROLES = tuple(role.value for role in Role)
+_roles = _check(list, f"a non-empty list of {', '.join(_ROLES)}",
+                lambda value: value and all(name in _ROLES for name in value),
+                lambda value: frozenset(map(Role, value)))
+_plugin_names = _check(list, f"a list of {', '.join(BUILTIN)}",
+                       lambda value: all(name in tuple(BUILTIN) for name in value))
+
+
+def _hosts(value, where: str) -> tuple[tuple[str, str], ...]:
+    """(source, url) per host; a source defaults to the first label of
+    its url's host name."""
+    hosts = {}
+    for i, item in enumerate(_list(value, where)):
+        path = f"{where}[{i}]"
+        entry = {"url": item} if isinstance(item, str) else _fields(item, path, _HOST)
+        try:
+            host = urlsplit(entry["url"]).hostname
+        except (KeyError, ValueError):  # no url, or not one urlsplit reads
+            host = None
+        source = entry.get("source") or (host or "").split(".")[0]
+        if not host or not source or source in hosts:
+            raise _bad(path, "a URL, or a new source and its url", item)
+        hosts[source] = entry["url"]
+    return tuple(hosts.items())
+
+
+def _servers(value, where: str) -> list[ServerEndpoint]:
+    servers = []
+    for i, item in enumerate(_list(value, where)):
+        entry = _fields(item, f"{where}[{i}]", _SERVER)
+        if "server_id" not in entry or "address" not in entry:
+            raise ConfigError(f"{where}[{i}] needs an id and an address")
+        servers.append(ServerEndpoint(**entry))
+    return servers
+
+
+_HOST = {"source": ("source", _text), "url": ("url", _text)}
+_SERVER = {"id": ("server_id", _text), "address": ("address", _address),
+           "roles": ("roles", _roles)}
+_TASKS = {
+    "reference_check": {"interval_seconds": ("reference_check_interval", _interval)},
+    "greedy_discovery": {"enabled": ("greedy_enabled", _flag),
+                         "interval_seconds": ("greedy_interval", _interval)},
+}
+_ONIONPERF = {"hosts": ("hosts", _hosts), "sizes": ("sizes", _sizes),
+              "daily_at": ("daily_at", _daily_at)}
+_PLUGIN_SECTIONS = {
+    "tasks": ("tasks", lambda v, w: TasksConfig(**_fields(v, w, _TASKS))),
+    "onionperf": ("onionperf", lambda v, w: OnionPerfConfig(**_fields(v, w, _ONIONPERF))),
+}
+_FILE = {
+    "archive": {"root": ("archive_root", lambda v, w: Path(_text(v, w)))},
+    "serve": {"listen": ("listen", _address)},
+    "log_level": ("log_level", _log_level),
+    "plugins": {"enabled": ("plugins_enabled", _plugin_names)},
+    "servers": ("servers", _servers),
+    **_PLUGIN_SECTIONS,
+}
 
 
 def load_config(path: str | None = None,
                 overrides: dict | None = None) -> Config:
-    """Build the runtime config from a YAML file plus CLI overrides.
+    """Build the runtime config from a YAML file plus CLI overrides: the
+    ``archive_root``, ``listen`` and ``log_level`` of ``overrides``.
 
     Resolution order for the file: explicit path, then the
     DIRCOLLECT_CONFIG environment variable, then built-in defaults.
     """
     source = path or os.environ.get(ENV_CONFIG)
-    raw: dict = {}
+    raw = None
     if source:
         try:
             with open(source, "r", encoding="utf-8") as fh:
-                raw = _require_mapping(yaml.safe_load(fh), "config file")
-        except OSError as exc:
+                raw = yaml.safe_load(fh)
+        except (OSError, UnicodeError) as exc:
             raise ConfigError(f"cannot read config {source!r}: {exc}") from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"bad YAML in {source!r}: {exc}") from None
-
-    archive = _require_mapping(raw.get("archive"), "archive")
-    serve = _require_mapping(raw.get("serve"), "serve")
-    plugins = _require_mapping(raw.get("plugins"), "plugins")
-    config = Config(settings=raw)
-    config.archive_root = Path(archive.get("root", config.archive_root))
-    try:
-        config.max_open_files = int(
-            archive.get("max_open_files", config.max_open_files))
-    except (TypeError, ValueError):
-        raise ConfigError("archive.max_open_files must be an integer") from None
-    try:
-        config.missing_threshold = float(
-            archive.get("missing_threshold", config.missing_threshold))
-    except (TypeError, ValueError):
-        raise ConfigError("archive.missing_threshold must be a number") from None
-    config.listen = str(serve.get("listen", config.listen))
-    config.log_level = str(raw.get("log_level", config.log_level))
-    enabled = plugins.get("enabled")
-    if enabled is not None:
-        if not isinstance(enabled, list):
-            raise ConfigError("plugins.enabled must be a list")
-        config.plugins_enabled = [str(name) for name in enabled]
-    config.servers = _parse_servers(raw.get("servers"))
-
+    fields = _fields(raw, "", _FILE)
     overrides = overrides or {}
     if overrides.get("archive_root"):
-        config.archive_root = Path(overrides["archive_root"])
+        fields["archive_root"] = Path(overrides["archive_root"])
     if overrides.get("listen"):
-        config.listen = overrides["listen"]
+        fields["listen"] = _address(overrides["listen"], "--listen")
     if overrides.get("log_level"):
-        config.log_level = overrides["log_level"]
-    return config
+        fields["log_level"] = _log_level(overrides["log_level"], "--log-level")
+    return Config(**fields)
 
 
 class Service:
@@ -151,10 +212,7 @@ class Service:
         self.config = config
         self.clock = clock or SystemClock()
         self.metrics = metrics or Metrics()
-        self.archive = Archive(config.archive_root, self.clock,
-                               metrics=self.metrics,
-                               max_open_files=config.max_open_files,
-                               missing_threshold=config.missing_threshold)
+        self.archive = Archive(config.archive_root, self.clock, metrics=self.metrics)
         self.fetcher = Fetcher(self.clock, metrics=self.metrics)
         self.scheduler = Scheduler(self.clock, self.metrics)
         self.servers = list(config.servers)
@@ -167,8 +225,8 @@ class Service:
         context = PluginContext(
             archive=self.archive, fetcher=self.fetcher, clock=self.clock,
             scheduler=self.scheduler, refchecker=self.refchecker,
-            servers=self.servers, settings=config.settings,
-            metrics=self.metrics,
+            servers=self.servers, tasks=config.tasks,
+            onionperf=config.onionperf, metrics=self.metrics,
         )
         self.plugins = discover(config.plugins_enabled, context, self.host)
         self.dirserver = DirServer(self.archive, self.clock,
@@ -313,9 +371,7 @@ def _cmd_serve(config: Config) -> int:
 
 def _open_archive(config: Config) -> Archive:
     """The archive alone, for the commands that do not collect."""
-    return Archive(config.archive_root, SystemClock(),
-                   max_open_files=config.max_open_files,
-                   missing_threshold=config.missing_threshold)
+    return Archive(config.archive_root, SystemClock())
 
 
 def _cmd_import(config: Config, path: str) -> int:
@@ -326,7 +382,7 @@ def _cmd_import(config: Config, path: str) -> int:
           f"errors={len(report.errors)}")
     for name, error in report.errors[:20]:
         print(f"error {name}: {error}", file=sys.stderr)
-    return 0
+    return 1 if report.errors else 0
 
 
 def _cmd_verify(config: Config) -> int:
@@ -346,17 +402,10 @@ def _cmd_index(config: Config) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=(args.log_level or "INFO").upper(),
-        format="%(asctime)s %(levelname)s %(name)s %(message)s",
-    )
+    logging.basicConfig(format="%(asctime)s %(levelname)s %(name)s %(message)s")
     try:
-        config = load_config(args.config, {
-            "archive_root": args.archive_root,
-            "listen": args.listen,
-            "log_level": args.log_level,
-        })
-        logging.getLogger().setLevel(config.log_level.upper())
+        config = load_config(args.config, vars(args))
+        logging.getLogger().setLevel(config.log_level)
         if args.command == "run":
             return _cmd_run(config)
         if args.command == "once":

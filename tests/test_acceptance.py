@@ -37,7 +37,7 @@ from dircollect.docmodel import (
 )
 from dircollect.fetcher import Fetcher, Role, ServerEndpoint
 from dircollect.metrics import Metrics
-from dircollect.plugins import PluginContext, PluginHost, discover
+from dircollect.plugins import OnionPerfConfig, PluginContext, PluginHost, discover
 from dircollect.refchecker import ReferenceChecker
 from dircollect.scheduler import Phase, Scheduler, compute_schedule, phase_at
 from dircollect.service import Config, Service
@@ -534,8 +534,7 @@ def test_10_bounded_handles(capsys, tmp_path_factory):
         assert len(body_corpus.docs) >= 6500
         metrics = Metrics()
         clock = SystemClock()
-        archive = Archive(tmp_path_factory.mktemp("burst") / "data", clock,
-                          metrics, max_open_files=512)
+        archive = Archive(tmp_path_factory.mktemp("burst") / "data", clock, metrics)
 
         def store(item):
             doctype, body = item
@@ -606,10 +605,8 @@ def test_11_onionperf_daily(capsys, tmp_path_factory):
                 scheduler=Scheduler(clock),
                 refchecker=refchecker,
                 metrics=metrics,
-                settings={"onionperf": {"hosts": [
-                    {"source": source, "url": f"http://{addr}/{source}"}
-                    for source in sources
-                ]}},
+                onionperf=OnionPerfConfig(hosts=tuple(
+                    (source, f"http://{addr}/{source}") for source in sources)),
             )
             plugin = discover(["onionperf"], context, host)[0]
 

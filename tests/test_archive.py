@@ -560,8 +560,9 @@ def test_import_torperf_files_sharing_a_name_keeps_both(arch, tmp_path):
 # --- concurrency -------------------------------------------------------------
 
 
-def test_bounded_file_handles_under_burst(tmp_path, clock):
-    arch = Archive(tmp_path / "data", clock, max_open_files=8)
+def test_bounded_file_handles_under_burst(tmp_path, clock, monkeypatch):
+    monkeypatch.setattr(archive_module, "MAX_OPEN_FILES", 8)
+    arch = Archive(tmp_path / "data", clock)
     bodies = [_descriptor_variant(i) for i in range(120)]
     raws = [raw_of(b, DocType.ServerDescriptor) for b in bodies]
     with ThreadPoolExecutor(max_workers=32) as pool:
@@ -677,13 +678,14 @@ def test_open_waits_for_a_store_between_segment_and_manifest(tmp_path, clock, mo
     assert arch.load_entry(second).body == _descriptor_variant(1)
 
 
-def test_bounded_file_handles_under_read_burst(tmp_path, clock):
+def test_bounded_file_handles_under_read_burst(tmp_path, clock, monkeypatch):
     writer = Archive(tmp_path / "data", clock)
     bodies = [_descriptor_variant(i) for i in range(120)]
     for body in bodies:
         store_doc(writer, body)
     writer.close()
-    arch = Archive(tmp_path / "data", clock, max_open_files=8)
+    monkeypatch.setattr(archive_module, "MAX_OPEN_FILES", 8)
+    arch = Archive(tmp_path / "data", clock)
     with ThreadPoolExecutor(max_workers=32) as pool:
         loaded = list(pool.map(arch.load_entry, arch.entries()))
     assert sorted(raw.body for raw in loaded) == sorted(bodies)

@@ -22,6 +22,7 @@ from dircollect.errors import (
     TooLarge,
     TransientError,
 )
+from dircollect import fetcher as fetcher_module
 from dircollect.fetcher import Fetcher, Role, ServerEndpoint
 from dircollect.metrics import Metrics
 from dircollect.simnet import SimNetwork, SimScenario
@@ -139,8 +140,9 @@ class TestBatches:
         paths = [r.path for r in net.requests() if r.path.startswith("/tor/micro/d/")]
         assert len(paths) == 1 and "-" in paths[0]
 
-    def test_chunking_respects_max_batch(self, net, servers, clock):
-        small = Fetcher(clock, timeout=5.0, max_batch=2)
+    def test_chunking_respects_max_batch(self, net, servers, clock, monkeypatch):
+        monkeypatch.setattr(fetcher_module, "MAX_BATCH", 2)
+        small = Fetcher(clock, timeout=5.0)
         period = net.periods[0]
         idents = [sd_ident(d) for d in period.server_descriptors]  # 5 of them
         docs, unfetched = small.fetch_batch(
@@ -300,8 +302,9 @@ class TestTransportEdges:
             for conn in conns:
                 conn.close()
 
-    def test_size_cap_enforced(self, net, servers, clock):
-        tiny = Fetcher(clock, timeout=5.0, max_body=64)
+    def test_size_cap_enforced(self, net, servers, clock, monkeypatch):
+        monkeypatch.setattr(fetcher_module, "MAX_BODY", 64)
+        tiny = Fetcher(clock, timeout=5.0)
         with pytest.raises(TooLarge):
             tiny.get(servers[0], "/tor/status-vote/current/consensus")
 
@@ -429,10 +432,12 @@ class TestCompressedBodies:
         with pytest.raises(FetchError):
             fetcher.fetch_onionperf(base, "op-x", 51200, date(2018, 11, 14))
 
-    def test_gzip_bomb_refused_before_inflating(self, file_server, endpoint, clock):
+    def test_gzip_bomb_refused_before_inflating(self, file_server, endpoint, clock,
+                                                monkeypatch):
         inflated = 64 << 20
         file_server.files["/bomb"] = (_zeros_bomb(inflated), "gzip")
-        small = Fetcher(clock, timeout=5.0, max_body=1 << 20)
+        monkeypatch.setattr(fetcher_module, "MAX_BODY", 1 << 20)
+        small = Fetcher(clock, timeout=5.0)
         tracemalloc.start()
         try:
             with pytest.raises(TooLarge):
@@ -472,8 +477,9 @@ class TestOnionperf:
         raw = fetcher.fetch_onionperf(host, "op-x", 51200, date(2018, 11, 13))
         assert raw.body == TPF
 
-    def test_waits_for_the_global_limit(self, host, file_server, clock):
-        single = Fetcher(clock, timeout=5.0, global_inflight=1)
+    def test_waits_for_the_global_limit(self, host, file_server, clock, monkeypatch):
+        monkeypatch.setattr(fetcher_module, "GLOBAL_INFLIGHT", 1)
+        single = Fetcher(clock, timeout=5.0)
         endpoint = ServerEndpoint("files", host.removeprefix("http://"))
         holder = threading.Thread(target=single.get, args=(endpoint, "/hold"))
         holder.start()

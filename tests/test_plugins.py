@@ -18,6 +18,7 @@ from dircollect.errors import PluginInitError
 from dircollect.fetcher import Fetcher, Role, ServerEndpoint
 from dircollect.metrics import Metrics
 from dircollect.plugins import (
+    OnionPerfConfig,
     OnionPerfPlugin,
     Plugin,
     PluginContext,
@@ -39,7 +40,7 @@ def clock():
     return ManualClock(ts(19, 5))
 
 
-def build_rig(tmp_path, clock, net, settings=None):
+def build_rig(tmp_path, clock, net):
     archive = Archive(tmp_path / "data", clock)
     metrics = Metrics()
     scheduler = Scheduler(clock, metrics)
@@ -60,7 +61,6 @@ def build_rig(tmp_path, clock, net, settings=None):
         scheduler=scheduler,
         refchecker=refchecker,
         servers=servers,
-        settings=settings or {},
         metrics=metrics,
     )
     (plugin,) = discover(["relaydescs"], context, host)
@@ -169,11 +169,6 @@ def bare_context(archive, clock, **fields):
 
 
 class TestDiscovery:
-    def test_unknown_plugin_name_raises(self, tmp_path, clock):
-        archive = Archive(tmp_path / "data", clock)
-        with pytest.raises(PluginInitError):
-            discover(["nonsense"], bare_context(archive, clock), PluginHost(archive))
-
     def test_broken_plugin_is_skipped_not_fatal(self, tmp_path, clock):
         # relaydescs cannot start without servers; the registry logs it
         # and moves on.
@@ -181,32 +176,6 @@ class TestDiscovery:
         metrics = Metrics()
         context = bare_context(archive, clock, metrics=metrics)
         assert discover(["relaydescs"], context, PluginHost(archive)) == []
-        assert metrics.counter("plugins.init_failures") == 1
-
-    def test_non_positive_interval_is_refused(self, tmp_path, clock):
-        # an interval of 0 would spin the scheduler forever under its lock
-        archive = Archive(tmp_path / "data", clock)
-        metrics = Metrics()
-        context = bare_context(
-            archive, clock, metrics=metrics,
-            servers=[ServerEndpoint("a", "127.0.0.1:1", frozenset({Role.Authority}))],
-            settings={"tasks": {"reference_check": {"interval_seconds": 0}}},
-        )
-        assert discover(["relaydescs"], context, PluginHost(archive)) == []
-        assert metrics.counter("plugins.init_failures") == 1
-
-    @pytest.mark.parametrize("daily_at", ["7", "25:00"])
-    def test_bad_daily_time_is_refused(self, tmp_path, clock, daily_at):
-        # first parsed when the job is registered, outside discover's guard,
-        # it would kill the service instead of skipping the plugin
-        archive = Archive(tmp_path / "data", clock)
-        metrics = Metrics()
-        context = bare_context(
-            archive, clock, metrics=metrics,
-            settings={"onionperf": {"hosts": ["http://op-ab.example/"],
-                                    "daily_at": daily_at}},
-        )
-        assert discover(["onionperf"], context, PluginHost(archive)) == []
         assert metrics.counter("plugins.init_failures") == 1
 
 
@@ -537,10 +506,7 @@ def perf_rig(tmp_path, clock, tpf_host, sizes=(51200,)):
         clock=clock,
         scheduler=Scheduler(clock, metrics),
         refchecker=refchecker,
-        settings={"onionperf": {
-            "hosts": [{"source": "op-ab", "url": base}],
-            "sizes": list(sizes),
-        }},
+        onionperf=OnionPerfConfig(hosts=(("op-ab", base),), sizes=sizes),
         metrics=metrics,
     )
     host = PluginHost(archive, metrics)
@@ -606,7 +572,6 @@ class TestOnionPerf:
 
     def test_requires_hosts(self, tmp_path, clock):
         archive = Archive(tmp_path / "data", clock)
-        context = bare_context(archive, clock,
-                               settings={"onionperf": {"hosts": []}})
+        context = bare_context(archive, clock)
         with pytest.raises(PluginInitError):
             OnionPerfPlugin(context)

@@ -2,9 +2,11 @@
 
 import json
 import logging
+import re
 import time
 import urllib.request
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -16,13 +18,7 @@ from dircollect.dirserver import DirServer
 from dircollect.docmodel import DocType, DocumentIdentifier
 from dircollect.errors import ConfigError
 from dircollect.fetcher import Role, ServerEndpoint
-from dircollect.service import (
-    Config,
-    Service,
-    load_config,
-    main,
-    normalize_role,
-)
+from dircollect.service import Config, Service, load_config, main
 from dircollect.simnet import SimNetwork, SimScenario
 
 
@@ -52,8 +48,6 @@ class TestConfig:
         path.write_text(
             "archive:\n"
             "  root: /srv/archive\n"
-            "  max_open_files: 128\n"
-            "  missing_threshold: 0.02\n"
             "serve:\n"
             "  listen: 0.0.0.0:8080\n"
             "log_level: debug\n"
@@ -65,20 +59,19 @@ class TestConfig:
             "    roles: [authority]\n"
             "  - id: BBBB\n"
             "    address: 10.0.0.2:9030\n"
-            "    roles: [extra_info_cache]\n"
+            "    roles: [extra-info-cache]\n"
             "onionperf:\n"
             "  daily_at: '01:30'\n"
         )
         config = load_config(str(path))
         assert str(config.archive_root) == "/srv/archive"
-        assert config.max_open_files == 128
-        assert config.missing_threshold == 0.02
+        assert config.log_level == "DEBUG"
         assert config.listen == "0.0.0.0:8080"
         assert config.plugins_enabled == ["relaydescs", "onionperf"]
         assert config.servers[0].is_authority
         assert config.servers[1].serves_extra_info()
         assert not config.servers[1].is_authority
-        assert config.settings["onionperf"]["daily_at"] == "01:30"
+        assert config.onionperf.daily_at == "01:30"
 
     def test_env_var_supplies_path(self, tmp_path, monkeypatch):
         path = tmp_path / "c.yaml"
@@ -106,25 +99,42 @@ class TestConfig:
 
     def test_malformed_sections_are_errors(self, tmp_path):
         cases = [
-            "servers: notalist\n",
-            "servers:\n  - address: 1.2.3.4:80\n",       # no id
-            "servers:\n  - id: A\n    address: x\n    roles: [czar]\n",
-            "archive:\n  max_open_files: lots\n",
-            "archive:\n  missing_threshold: low\n",
-            "plugins:\n  enabled: relaydescs\n",
+            ("servers: notalist\n", "servers must be a list"),
+            ("servers:\n  - address: 1.2.3.4:80\n", "servers[0] needs an id"),
+            ("servers:\n  - id: A\n    address: x:1\n    roles: [czar]\n",
+             "servers[0].roles"),
+            ("archive:\n  max_open_files: lots\n", "unknown key archive.max_open_files"),
+            ("archive:\n  missing_threshold: low\n",
+             "unknown key archive.missing_threshold"),
+            ("plugins:\n  enabled: relaydescs\n", "plugins.enabled"),
         ]
-        for body in cases:
+        for body, message in cases:
             path = tmp_path / "c.yaml"
             path.write_text(body)
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError, match=re.escape(message)):
                 load_config(str(path))
 
-    def test_role_normalization(self):
-        assert normalize_role("Authority") is Role.Authority
-        assert normalize_role("dir_cache") is Role.DirectoryCache
-        assert normalize_role("extra-info-cache") is Role.ExtraInfoCache
-        with pytest.raises(ConfigError):
-            normalize_role("relay")
+    def test_settings_pass_the_same_checks(self):
+        config = Config(settings={"tasks": {"reference_check": {"interval_seconds": 300}},
+                                  "onionperf": {"hosts": ["https://op-ab.example.org/"]}})
+        assert config.tasks.reference_check_interval == 300.0
+        assert config.onionperf.hosts == (("op-ab", "https://op-ab.example.org/"),)
+        with pytest.raises(ConfigError, match=re.escape("unknown key tasks.reference_chek")):
+            Config(settings={"tasks": {"reference_chek": {"interval_seconds": 5}}})
+
+    def test_readme_quick_start_config_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        quick_start = readme.split("## Quick start", 1)[1]
+        block = re.search(r"```yaml\n(.*?)```", quick_start, re.S).group(1)
+        path = tmp_path / "collector.yaml"
+        path.write_text(block)
+        config = load_config(str(path))
+        assert config.plugins_enabled == ["relaydescs", "onionperf"]
+        assert [s.server_id for s in config.servers] == ["moria1", "cache-1"]
+        assert config.onionperf.hosts == (
+            ("op-ab", "https://op-ab.example.org/"),
+            ("op-cd", "https://op-cd.example.org/data/"),
+        )
 
 
 # --- the assembled service --------------------------------------------------------
@@ -264,6 +274,57 @@ class TestServiceRun:
 # --- the command line --------------------------------------------------------------
 
 
+#: (id, config file, extra arguments, dotted key the error must name): the
+#: silent or crashing values once seen, one bad value per key, and one
+#: misspelled key per section
+_MORIA = "id: moria1, address: '128.31.0.39:9131'"
+BAD_CONFIGS = [
+    ("interval-nan", "tasks: {reference_check: {interval_seconds: .nan}}", [],
+     "tasks.reference_check.interval_seconds"),
+    ("interval-inf", "tasks: {reference_check: {interval_seconds: .inf}}", [],
+     "tasks.reference_check.interval_seconds"),
+    ("interval-zero", "tasks: {reference_check: {interval_seconds: 0}}", [],
+     "tasks.reference_check.interval_seconds"),
+    ("greedy-interval-negative", "tasks: {greedy_discovery: {interval_seconds: -5}}", [],
+     "tasks.greedy_discovery.interval_seconds"),
+    ("greedy-enabled-string", 'tasks: {greedy_discovery: {enabled: "false"}}', [],
+     "tasks.greedy_discovery.enabled"),
+    ("tasks-misspelled", "tasks: {reference_chek: {interval_seconds: 5}}", [],
+     "tasks.reference_chek"),
+    ("greedy-misspelled", "tasks: {greedy_discovery: {interval: 5}}", [],
+     "tasks.greedy_discovery.interval"),
+    ("server-role-misspelled", f"servers: [{{{_MORIA}, role: [authority]}}]", [],
+     "servers[0].role"),
+    ("server-id-empty", "servers: [{id: '', address: '128.31.0.39:9131'}]", [],
+     "servers[0].id"),
+    ("server-address-no-port", "servers: [{id: moria1, address: 128.31.0.39}]", [],
+     "servers[0].address"),
+    ("role-alias", f"servers: [{{{_MORIA}, roles: [dir-cache]}}]", [], "servers[0].roles"),
+    ("role-upper-case", f"servers: [{{{_MORIA}, roles: [Authority]}}]", [],
+     "servers[0].roles"),
+    ("servers-not-a-list", "servers: moria1", [], "servers"),
+    ("hosts-a-string", 'onionperf: {hosts: "https://op-ab.example.org/"}', [],
+     "onionperf.hosts"),
+    ("host-not-a-url", "onionperf: {hosts: [op-ab.example.org]}", [], "onionperf.hosts[0]"),
+    ("host-misspelled", "onionperf: {hosts: [{source: op-ab, uri: 'https://op-ab.org/'}]}",
+     [], "onionperf.hosts[0].uri"),
+    ("sizes-not-a-list", "onionperf: {sizes: 51200}", [], "onionperf.sizes"),
+    ("onionperf-misspelled", "onionperf: {size: [51200]}", [], "onionperf.size"),
+    ("daily_at-7", 'onionperf: {daily_at: "7"}', [], "onionperf.daily_at"),
+    ("daily_at-25:00", 'onionperf: {daily_at: "25:00"}', [], "onionperf.daily_at"),
+    ("archive-max_open_files", "archive: {max_open_files: 0}", [], "archive.max_open_files"),
+    ("archive-root-a-number", "archive: {root: 7}", [], "archive.root"),
+    ("archive-misspelled", "archive: {rot: /srv/dircollect}", [], "archive.rot"),
+    ("log_level-verbose", "log_level: verbose", [], "log_level"),
+    ("top-level-misspelled", "log-level: INFO", [], "log-level"),
+    ("cli-log-level-bogus", "", ["--log-level", "bogus"], "--log-level"),
+    ("listen-no-port", "serve: {listen: localhost}", [], "serve.listen"),
+    ("serve-misspelled", "serve: {lisen: '127.0.0.1:7000'}", [], "serve.lisen"),
+    ("plugin-unknown", "plugins: {enabled: [relaydesc]}", [], "plugins.enabled"),
+    ("plugins-misspelled", "plugins: {enable: [relaydescs]}", [], "plugins.enable"),
+]
+
+
 def write_docs(directory):
     directory.mkdir()
     (directory / "consensus.txt").write_bytes(sample_docs.CONSENSUS_NS)
@@ -349,6 +410,21 @@ class TestCli:
 
     def test_config_errors_exit_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "missing.yaml"), "once"]) == 2
+
+    @pytest.mark.parametrize("body, args, key", [row[1:] for row in BAD_CONFIGS],
+                             ids=[row[0] for row in BAD_CONFIGS])
+    def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, body, args, key):
+        path = tmp_path / "c.yaml"
+        path.write_text(body + "\n")
+        argv = ["--config", str(path), "--archive-root", str(tmp_path / "data"), *args]
+        assert main([*argv, "index"]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_import_of_a_missing_path_fails(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        assert main(["--archive-root", str(tmp_path / "data"), "import", str(missing)]) == 1
+        assert f"error {missing}" in capsys.readouterr().err
 
     def test_once_via_cli(self, tmp_path):
         now = datetime.now(timezone.utc)
