@@ -18,6 +18,7 @@ import gzip
 import json
 import logging
 import re
+import sys
 import threading
 from collections import OrderedDict
 from datetime import datetime, timedelta
@@ -81,7 +82,7 @@ class DirServer:
         host, _, port = listen.rpartition(":")
         self._host = host or "127.0.0.1"
         self._port = int(port)
-        self._server: ThreadingHTTPServer | None = None
+        self._server: _Server | None = None
         self._thread: threading.Thread | None = None
         #: (segment, offset) -> verified body, least recently served first
         self._bodies: OrderedDict[tuple[str, int], bytes] = OrderedDict()
@@ -96,8 +97,7 @@ class DirServer:
         self._consensus_validity: dict[DocType, tuple[tuple[str, int], datetime]] = {}
 
     def start(self) -> None:
-        self._server = ThreadingHTTPServer((self._host, self._port), _Handler)
-        self._server.daemon_threads = True
+        self._server = _Server((self._host, self._port), _Handler)
         self._server.dirserver = self
         self._port = self._server.server_address[1]
         self._thread = threading.Thread(
@@ -257,6 +257,18 @@ def _accepts_gzip(accept_encoding: str) -> bool:
     """Whether an Accept-Encoding value lists gzip with a q-value above 0."""
     found = _GZIP_CODING.search(accept_encoding)
     return found is not None and float(found.group(1) or 1) > 0
+
+
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def handle_error(self, request, client_address):
+        """A client hanging up mid-request or mid-response is routine."""
+        exc = sys.exc_info()[1]
+        if isinstance(exc, ConnectionError):
+            log.debug("event=client_gone client=%s error=%r", client_address[0], exc)
+        else:
+            log.exception("event=handler_failed client=%s", client_address[0])
 
 
 class _Handler(BaseHTTPRequestHandler):

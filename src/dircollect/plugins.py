@@ -270,7 +270,6 @@ class RelayDescsPlugin(Plugin):
             # bootstrap owns discovery (with its own backoff) until a
             # first consensus exists; probing here would double up on it
             return 0
-        self.refchecker.prune()
         return self.host.run_cycle(self)
 
     def run_once(self) -> int:
@@ -473,9 +472,9 @@ class OnionPerfPlugin(Plugin):
     """Daily `.tpf` files from measurement hosts.
 
     Each day's files are collected the morning after; a missing file is
-    retried on later days while it is still fresh, but a 404 means it
-    will never exist: it goes into the reference checker's permanent-miss
-    ledger and is never asked for again.
+    retried on later days while it is still fresh. A 404, or a day still
+    missing when its window closes, becomes a permanent miss in the
+    reference checker's wanted ledger, and is never asked for again.
     """
 
     name = "onionperf"
@@ -510,7 +509,7 @@ class OnionPerfPlugin(Plugin):
                 for back in range(1, self.RETAIN_DAYS + 1):
                     ident = self._ident(source, size,
                                         today - timedelta(days=back))
-                    if not self.refchecker.missed(ident) and not self.archive.contains(ident):
+                    if self.refchecker.want(ident, self._window_end(ident)):
                         out.append(ident)
         return out
 
@@ -523,11 +522,13 @@ class OnionPerfPlugin(Plugin):
             raw = self.fetcher.fetch_onionperf(
                 base, source, int(size), docid.datetime.date())
         except PermanentMiss:
-            # expected up to RETAIN_DAYS after its day, so its window ends then
-            self.refchecker.miss(
-                docid, docid.datetime + timedelta(days=self.RETAIN_DAYS + 1), "gone")
+            self.refchecker.miss(docid, self._window_end(docid), "gone")
             raise
         return [raw]
+
+    def _window_end(self, docid: DocumentIdentifier) -> datetime:
+        """Asked for up to RETAIN_DAYS after its day, so wanted until then."""
+        return docid.datetime + timedelta(days=self.RETAIN_DAYS + 1)
 
     @staticmethod
     def _ident(source: str, size: int, day) -> DocumentIdentifier:

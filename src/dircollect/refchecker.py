@@ -1,13 +1,13 @@
-"""Reference checking: what should exist, what to fetch, what was tried.
+"""Reference checking: what is still wanted, until when, and what was tried.
 
-Holds the references of every status document (vote, consensus,
-detached signature) and server descriptor admitted in the last three
-hours, extracted once when the document arrives; filters them against
-the archive to produce download expectations; guesses period documents
-that should exist by now from the consensus timing alone; keeps the one
-ledger of documents every plugin has missed for good; and keeps the
-one-attempt ledger that stops a (document, server) pair being asked
-twice in the same downloader phase.
+`_wanted` is the one ledger of documents a plugin waits for and has not
+yet seen archived: the references of every status document and server
+descriptor, extracted once on arrival and wanted for three hours from
+its store time; period documents guessed from the consensus timing,
+wanted while the protocol serves them; OnionPerf's measurement days.
+`prune` is the one expiry step: a window that closes unarchived makes a
+permanent miss, forgotten one referrer window later. The attempt ledger
+stops a (document, server) pair being asked twice in one downloader phase.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ REFERRER_TYPES = (
     DocType.ServerDescriptor,
 )
 
+#: a reference is wanted through this long after its referrer's store
+#: time, both ends included
 REFERRER_WINDOW = timedelta(hours=3)
 
 #: Output ordering of expectations. Consensus digests (referenced by
@@ -50,20 +52,14 @@ _EXPECT_ORDER = {
     DocType.Microdescriptor: 4,
     DocType.ExtraInfoDescriptor: 5,
 }
-_ORDER_COUNT = 6
 
 
 @dataclass(frozen=True)
-class _Referrer:
-    #: (fetch order, referenced document) pairs
-    refs: tuple[tuple[int, DocumentIdentifier], ...]
-    added_at: datetime
-
-
-@dataclass(frozen=True)
-class _Guess:
+class _Wanted:
     ident: DocumentIdentifier
-    window_end: datetime
+    #: the first instant it is no longer wanted
+    until: datetime
+    missed: bool
 
 
 class ReferenceChecker:
@@ -79,45 +75,57 @@ class ReferenceChecker:
         self.authorities = list(authorities or [])
         self.metrics = metrics or Metrics()
         self._lock = threading.RLock()
-        self._referrers: dict[str, _Referrer] = {}
-        self._guessed: dict[str, _Guess] = {}
-        #: permanently missed document -> the end of its window
-        self._missed: dict[str, datetime] = {}
+        #: key -> a document not yet seen archived, in first-wanted order
+        self._wanted: dict[str, _Wanted] = {}
         self._attempts: set[tuple[str, str]] = set()
         self._phase_tag: object = None
 
-    # -- referrers ------------------------------------------------------------
+    # -- the wanted ledger ------------------------------------------------------
+
+    def _want(self, ident: DocumentIdentifier, until: datetime) -> bool:
+        """The one insert: a later window extends an entry and revives it
+        if it was missed. True while the document is still to be fetched."""
+        key = ident.key()
+        with self._lock:
+            held = self._wanted.get(key)
+            if held is None or until > held.until:
+                held = _Wanted(held.ident if held else ident, until, False)
+                self._wanted[key] = held
+            return not held.missed
+
+    def want(self, ident: DocumentIdentifier, until: datetime) -> bool:
+        """`_want` for a document the archive lacks, else forget it."""
+        if self.archive.contains(ident):
+            with self._lock:
+                self._wanted.pop(ident.key(), None)
+            return False
+        return self._want(ident, until)
 
     def add_referrer(self, parsed: docparse.ParsedDocument, entry: ArchiveEntry) -> None:
-        """Remember what one archived document references, as of its store time."""
+        """Want what one archived document references, as of its store time."""
         if parsed.doctype not in REFERRER_TYPES:
             raise WrongDocType(f"{parsed.doctype} references nothing worth checking")
-        with self._lock:
-            if entry.path in self._referrers:
-                return
-        refs = tuple(
-            (_EXPECT_ORDER[ref.doctype], ref)
-            for ref in docparse.extract_references(parsed, self.metrics)
-            if ref.doctype in _EXPECT_ORDER
-        )
-        with self._lock:
-            self._referrers.setdefault(entry.path, _Referrer(refs, entry.stored_at))
-            self.metrics.set_gauge("refchecker.referrers", len(self._referrers))
+        until = entry.stored_at + REFERRER_WINDOW + timedelta.resolution
+        for ref in docparse.extract_references(parsed, self.metrics):
+            if ref.doctype in _EXPECT_ORDER:
+                self._want(ref, until)
 
-    def prune(self, now: datetime | None = None) -> int:
+    def prune(self, now: datetime | None = None) -> None:
+        """The one expiry step: an entry whose window closed unarchived
+        becomes a `window_closed` miss, which is forgotten REFERRER_WINDOW
+        after that."""
         now = now or self.clock.now()
         with self._lock:
-            stale = [
-                key for key, referrer in self._referrers.items()
-                if now - referrer.added_at > REFERRER_WINDOW
-            ]
-            for key in stale:
-                del self._referrers[key]
-            for key in [key for key, end in self._missed.items()
-                        if now - end > REFERRER_WINDOW]:
-                del self._missed[key]
-            self.metrics.set_gauge("refchecker.referrers", len(self._referrers))
-        return len(stale)
+            for key, held in list(self._wanted.items()):
+                if now < held.until:
+                    continue
+                if held.missed:
+                    if now - held.until > REFERRER_WINDOW:
+                        del self._wanted[key]
+                elif self.archive.contains(held.ident):
+                    del self._wanted[key]
+                else:
+                    self.miss(held.ident, held.until, "window_closed")
 
     # -- guessing period documents ---------------------------------------------
 
@@ -132,80 +140,49 @@ class ReferenceChecker:
         the known consensus is stale; votes and detached signatures are
         guessed for the upcoming period while the protocol actually
         serves them (the voting window and the distribution window).
-        Documents whose window closes unfetched become permanent misses.
-        Without timings nothing is guessed; bootstrap fetches the first consensus.
+        Expires the ledger first, so a guess whose window closed
+        unfetched is a permanent miss. Without timings nothing is
+        guessed; bootstrap fetches the first consensus.
         """
         now = now or self.clock.now()
+        self.prune(now)
         if timings is None:
             return []
         period = timings.period_seconds
         elapsed = (now - timings.valid_after).total_seconds()
         current_start = timings.valid_after + timedelta(
-            seconds=floor(elapsed / period) * period
-        )
+            seconds=floor(elapsed / period) * period)
         next_start = current_start + timedelta(seconds=period)
         validity = timings.valid_until - timings.valid_after
-        out: list[DocumentIdentifier] = []
-
-        def consider(ident: DocumentIdentifier, window_end: datetime) -> None:
-            if self.missed(ident):
-                return
-            key = ident.key()
-            if self.archive.contains(ident):
-                with self._lock:
-                    self._guessed.pop(key, None)
-                return
-            with self._lock:
-                self._guessed.setdefault(key, _Guess(ident, window_end))
-            out.append(ident)
-
-        for flavor in (DocType.ConsensusNs, DocType.ConsensusMicrodesc):
-            consider(
-                DocumentIdentifier(flavor, "", current_start),
-                current_start + validity,
-            )
-        vote_open = next_start - timedelta(
-            seconds=timings.vote_seconds + timings.dist_seconds
-        )
-        if now >= vote_open:
-            for auth in self.authorities:
-                consider(DocumentIdentifier(DocType.Vote, auth, next_start), next_start)
-        sig_open = next_start - timedelta(seconds=timings.dist_seconds)
-        if now >= sig_open:
-            for auth in self.authorities:
-                consider(
-                    DocumentIdentifier(DocType.DetachedSignature, auth, next_start),
-                    next_start,
-                )
-        self._expire_guesses(now)
-        return out
-
-    def _expire_guesses(self, now: datetime) -> None:
-        with self._lock:
-            expired = [
-                (key, guess) for key, guess in self._guessed.items()
-                if now >= guess.window_end
-            ]
-            for key, guess in expired:
-                del self._guessed[key]
-                if not self.archive.contains(guess.ident):
-                    self.miss(guess.ident, guess.window_end, "window_closed")
+        candidates = [
+            (DocumentIdentifier(flavor, "", current_start), current_start + validity)
+            for flavor in (DocType.ConsensusNs, DocType.ConsensusMicrodesc)
+        ]
+        vote = timedelta(seconds=timings.vote_seconds)
+        dist = timedelta(seconds=timings.dist_seconds)
+        for doctype, opens in ((DocType.Vote, next_start - vote - dist),
+                               (DocType.DetachedSignature, next_start - dist)):
+            if now >= opens:
+                candidates += [(DocumentIdentifier(doctype, auth, next_start), next_start)
+                               for auth in self.authorities]
+        return [ident for ident, until in candidates if self.want(ident, until)]
 
     # -- permanent misses ----------------------------------------------------------
 
     def miss(self, docid: DocumentIdentifier, until: datetime, reason: str) -> None:
-        """Record a document missed for good; it is never asked for again.
-        ``until`` is the end of its window: `prune` drops the entry once
-        that lies more than REFERRER_WINDOW behind."""
+        """Record a document missed for good; it is never asked for again
+        unless a later reference wants it past ``until``, the end of its
+        window. `prune` forgets the miss REFERRER_WINDOW after that."""
         key = docid.key()
         with self._lock:
-            self._missed[key] = until
+            self._wanted[key] = _Wanted(docid, until, True)
         self.metrics.incr("refchecker.permanently_missed")
         log.info("event=permanently_missed key=%s reason=%s", key, reason)
 
     def missed(self, docid: DocumentIdentifier) -> bool:
         with self._lock:
-            return docid.key() in self._missed
+            held = self._wanted.get(docid.key())
+            return held is not None and held.missed
 
     def permanently_missed_count(self) -> int:
         """Documents missed for good since start, pruned or not."""
@@ -214,24 +191,25 @@ class ReferenceChecker:
     # -- expectations -------------------------------------------------------------
 
     def expectations(self, now: datetime | None = None) -> list[DocumentIdentifier]:
-        """Everything referenced from the window but not archived, in fetch
-        order: consensuses, bandwidth lists, server descriptors,
-        microdescriptors, then extra-info descriptors."""
+        """Every reference still wanted and not archived, in fetch order:
+        consensuses, bandwidth lists, server descriptors,
+        microdescriptors, then extra-info descriptors. A reference the
+        archive now holds leaves the ledger."""
         now = now or self.clock.now()
-        buckets: list[dict[str, DocumentIdentifier]] = [{} for _ in range(_ORDER_COUNT)]
         with self._lock:
-            referrers = list(self._referrers.values())
-        for referrer in referrers:
-            if now - referrer.added_at > REFERRER_WINDOW:
-                continue
-            for order, ref in referrer.refs:
-                buckets[order].setdefault(ref.key(), ref)
-        pending = [
-            ident
-            for bucket in buckets
-            for ident in bucket.values()
-            if self.archive.find_by_digests(ident.digests) is None
-        ]
+            # references are the digest-addressed entries; guesses and
+            # measurement days are addressed by period
+            refs = [held.ident for held in self._wanted.values()
+                    if not held.missed and now < held.until
+                    and not held.ident.digests.empty]
+        pending, arrived = [], []
+        for ident in refs:
+            held = self.archive.find_by_digests(ident.digests) is not None
+            (arrived if held else pending).append(ident)
+        with self._lock:
+            for ident in arrived:
+                self._wanted.pop(ident.key(), None)
+        pending.sort(key=lambda ident: _EXPECT_ORDER[ident.doctype])
         self.metrics.set_gauge("refchecker.expectations_pending", len(pending))
         return pending
 

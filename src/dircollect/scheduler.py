@@ -129,6 +129,7 @@ class Scheduler:
         self._lock = threading.RLock()
         self._wake = threading.Event()
         self._stop = threading.Event()
+        self._loop: threading.Thread | None = None
         self._threads: list[threading.Thread] = []
 
     # -- job registration ---------------------------------------------------
@@ -195,7 +196,11 @@ class Scheduler:
     # -- the loop -------------------------------------------------------------
 
     def run(self) -> None:
-        while not self._stop.is_set():
+        while True:
+            # cleared first, so no stop or wake-up during the pass is lost
+            self._wake.clear()
+            if self._stop.is_set():
+                return
             now = self._clock.now()
             to_fire: list[_Job] = []
             with self._lock:
@@ -220,18 +225,19 @@ class Scheduler:
                 )
                 self._threads.append(thread)
                 thread.start()
-            self._wake.clear()
             wait_target = self._soonest(now) or now + timedelta(seconds=5)
             self._clock.wait_until(min(wait_target, now + timedelta(seconds=60)), self._wake)
 
-    def start(self) -> threading.Thread:
-        thread = threading.Thread(target=self.run, name="scheduler", daemon=True)
-        thread.start()
-        return thread
+    def start(self) -> None:
+        self._loop = threading.Thread(target=self.run, name="scheduler", daemon=True)
+        self._loop.start()
 
     def stop(self) -> None:
+        """Join the loop first, so it starts no job after that, then the jobs."""
         self._stop.set()
         self._wake.set()
+        if self._loop is not None:
+            self._loop.join(timeout=10)
         for thread in self._threads:
             thread.join(timeout=10)
 

@@ -3,6 +3,9 @@
 import gzip
 import http.client
 import json
+import logging
+import socket
+import struct
 import time
 import urllib.error
 import urllib.request
@@ -338,3 +341,50 @@ class TestCaches:
             fh.seek(fh.read().index(b"uptime 93600", entry.offset))
             fh.write(b"uptime 93601")
         assert archive.verify_integrity().corrupt == [entry.path]
+
+
+def _hang_up(server, request: bytes) -> None:
+    """Send ``request`` and reset the connection without reading."""
+    host, port = server.address.rsplit(":", 1)
+    sock = socket.create_connection((host, int(port)), timeout=5)
+    sock.sendall(request)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def _gone(caplog):
+    return [r for r in caplog.records if "event=client_gone" in r.getMessage()]
+
+
+class TestHandlerErrors:
+    def test_clients_that_hang_up_are_logged_not_printed(
+            self, server, archive, clock, capfd, caplog):
+        caplog.set_level(logging.DEBUG, logger="dircollect.dirserver")
+        stored(archive, clock, *descriptors(clock, 40))
+        for request in (b"GET /status HTTP/1.1\r\n\r\n", b"GET /sta",
+                        b"GET /tor/server/all HTTP/1.1\r\n\r\n") * 2:
+            _hang_up(server, request)
+        # the half-sent requests are reset while the handler reads them
+        deadline = time.monotonic() + 5
+        while len(_gone(caplog)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        time.sleep(0.2)  # let the other handlers finish
+        assert get_code(server, "/status") == 200
+        assert len(_gone(caplog)) >= 2
+        assert all(r.levelno == logging.DEBUG for r in _gone(caplog))
+        assert capfd.readouterr().err == ""
+
+    def test_other_handler_errors_keep_their_traceback(
+            self, server, capfd, caplog, monkeypatch):
+        def broken(value):
+            raise RuntimeError("broken header check")
+
+        monkeypatch.setattr(dirserver, "_accepts_gzip", broken)
+        with pytest.raises((urllib.error.URLError, http.client.HTTPException, OSError)):
+            get_body(server, "/status")
+        deadline = time.monotonic() + 5
+        while not caplog.records and time.monotonic() < deadline:
+            time.sleep(0.02)
+        (record,) = [r for r in caplog.records if "event=handler_failed" in r.getMessage()]
+        assert record.levelno == logging.ERROR and record.exc_info[0] is RuntimeError
+        assert capfd.readouterr().err == ""

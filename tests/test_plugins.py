@@ -3,7 +3,7 @@
 import re
 import threading
 from collections import Counter
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
@@ -68,6 +68,16 @@ def build_rig(tmp_path, clock, net):
         archive=archive, metrics=metrics, scheduler=scheduler,
         refchecker=refchecker, host=host, context=context, plugin=plugin,
     )
+
+
+def referenced(body, now):
+    """The keys of every document ``body`` references."""
+    parsed = docparse.parse(docparse.make_raw(body, "test", now))
+    return {ref.key() for ref in docparse.extract_references(parsed)}
+
+
+def pending_keys(rig):
+    return {p.key() for p in rig.refchecker.expectations()}
 
 
 def archived_digests(archive):
@@ -205,9 +215,10 @@ class TestBootstrap:
         timings = rig.scheduler.timings
         assert timings is not None
         assert timings.valid_after == ts(19)
-        assert rig.metrics.gauge("refchecker.referrers") == 1
         pending = rig.refchecker.expectations()
         assert pending and {p.doctype for p in pending} == {DocType.ServerDescriptor}
+        assert {p.key() for p in pending} == referenced(
+            net.periods[0].consensus_ns, ts(19, 5))
         assert rig.archive.counts() == {"consensus": 1}
 
     def test_bootstrap_skips_dead_authority(self, tmp_path, clock):
@@ -236,7 +247,7 @@ class TestBootstrap:
             net.periods[0].consensus_ns, "import", rig.context.clock.now()))
         rig.plugin.bootstrap()
         assert rig.scheduler.timings.valid_after == ts(19)
-        assert rig.metrics.gauge("refchecker.referrers") == 1
+        assert pending_keys(rig) == referenced(net.periods[0].consensus_ns, ts(19, 5))
 
     def test_expired_consensus_sets_no_timings(self, rig, net, clock):
         raw = docparse.make_raw(net.periods[0].consensus_ns, "test", clock.now())
@@ -244,7 +255,8 @@ class TestBootstrap:
         clock.set(ts(22, 0))  # its valid-until
         rig.plugin.admit(entry, docparse.parse_admitted(raw))
         assert rig.scheduler.timings is None
-        assert rig.metrics.gauge("refchecker.referrers") == 1
+        # still a referrer: its references stay wanted until 22:05
+        assert pending_keys(rig) == referenced(net.periods[0].consensus_ns, ts(19, 5))
 
     def test_consensus_without_voting_delay_sets_no_timings(self, rig, net, clock):
         body, n = re.subn(rb"voting-delay \d+ \d+\n", b"", net.periods[0].consensus_ns)
@@ -252,7 +264,7 @@ class TestBootstrap:
         raw = docparse.make_raw(body, "test", clock.now())
         rig.plugin.admit(rig.archive.store(raw), docparse.parse_admitted(raw))
         assert rig.scheduler.timings is None
-        assert rig.metrics.gauge("refchecker.referrers") == 1
+        assert pending_keys(rig) == referenced(body, ts(19, 5))
 
 
 class TestSeed:
@@ -263,14 +275,20 @@ class TestSeed:
             archive.store(docparse.make_raw(body, "test", clock.now()))
         fresh = build_rig(tmp_path, clock, net)
         fresh.plugin.seed()
-        # extra-info references nothing
-        assert fresh.metrics.gauge("refchecker.referrers") == 3
+        # the vote's and the consensus's references, less the stored
+        # descriptor; the descriptor's extra-info is stored too
+        assert pending_keys(fresh) == (
+            referenced(sample_docs.VOTE, clock.now())
+            | referenced(sample_docs.CONSENSUS_NS, clock.now())
+        ) - {sample_docs.VOTE_SD_DIGESTS[0]}
         assert fresh.scheduler.timings.valid_after == ts(19)
 
         clock.set(ts(23, 30))  # stored 4h25m ago now
         later = build_rig(tmp_path, clock, net)
         later.plugin.seed()
-        assert later.metrics.gauge("refchecker.referrers") == 0
+        later.refchecker.prune()  # a re-admitted reference would be missed now
+        assert later.refchecker.permanently_missed_count() == 0
+        assert later.refchecker.expectations() == []
         assert later.scheduler.timings is None
 
     def test_reseeded_descriptor_still_wants_its_extra_info(self, tmp_path, clock, net):
@@ -462,9 +480,9 @@ class TestServerPreference:
 class _TpfHandler(BaseHTTPRequestHandler):
     def do_GET(self):
         self.server.paths.append(self.path)
-        body = self.server.files.get(self.path)
-        if body is None:
-            self.send_response(404)
+        body = self.server.files.get(self.path, 404)
+        if isinstance(body, int):  # an error status
+            self.send_response(body)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
@@ -567,8 +585,26 @@ class TestOnionPerf:
         clock.set(ts(0, 20, day=20))
         rig.plugin.collect()  # days 17-19, none served
         assert rig.refchecker.permanently_missed_count() == 6
-        assert sorted(rig.refchecker._missed) == [
-            f"torperf|op-ab-51200|2018-11-{day} 00:00:00" for day in (17, 18, 19)]
+        held = [day for day in range(13, 20) if rig.refchecker.missed(
+            OnionPerfPlugin._ident("op-ab", 51200, date(2018, 11, day)))]
+        assert held == [17, 18, 19]
+
+    def test_day_failing_through_its_window_is_missed_once(self, tmp_path, tpf_host):
+        clock = ManualClock(ts(0, 20, day=14))
+        for day in (11, 12, 14, 15, 16, 17):
+            tpf_host.files[f"/op-ab-51200-2018-11-{day}.tpf"] = tpf_body(
+                "op-ab", 51200, f"2018-11-{day}")
+        tpf_host.files["/op-ab-51200-2018-11-13.tpf"] = 503
+        rig = perf_rig(tmp_path, clock, tpf_host)
+        asked = {}
+        for day in (14, 15, 16, 17, 18):
+            clock.set(ts(0, 20, day=day))
+            rig.plugin.collect()
+            asked[day] = tpf_host.paths.count("/op-ab-51200-2018-11-13.tpf")
+            # its window closes at the start of the 17th
+            assert rig.refchecker.permanently_missed_count() == (day >= 17)
+        assert 0 < asked[14] < asked[15] < asked[16] == asked[18]
+        assert rig.archive.counts() == {"torperf": 6}
 
     def test_requires_hosts(self, tmp_path, clock):
         archive = Archive(tmp_path / "data", clock)

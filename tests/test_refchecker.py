@@ -1,4 +1,4 @@
-"""Tests for reference checking: referrers, guesses, the ledger."""
+"""Tests for reference checking: the wanted ledger, guesses, attempts."""
 
 from datetime import datetime, timedelta, timezone
 
@@ -53,10 +53,6 @@ def admit(archive, checker, body):
     return entry
 
 
-def referrers(checker):
-    return checker.metrics.gauge("refchecker.referrers")
-
-
 def timings():
     parsed, _ = make_parsed(sample_docs.CONSENSUS_NS, ManualClock(ts(19, 5)))
     return docparse.extract_timings(parsed)
@@ -64,15 +60,17 @@ def timings():
 
 class TestStartingPoints:
     def test_accepts_status_documents(self, archive, checker):
-        for body in (
-            sample_docs.VOTE,
-            sample_docs.CONSENSUS_NS,
-            sample_docs.CONSENSUS_MD,
-            sample_docs.SAMPLE_DETACHED_SIGNATURE,
-            sample_docs.SERVER_DESCRIPTOR,
+        # each referrer type adds references of a kind of its own
+        for body, kind in (
+            (sample_docs.CONSENSUS_NS, DocType.ServerDescriptor),
+            (sample_docs.VOTE, DocType.BandwidthList),
+            (sample_docs.CONSENSUS_MD, DocType.Microdescriptor),
+            (sample_docs.SAMPLE_DETACHED_SIGNATURE, DocType.ConsensusNs),
+            (sample_docs.SERVER_DESCRIPTOR, DocType.ExtraInfoDescriptor),
         ):
+            assert kind not in {p.doctype for p in checker.expectations()}
             admit(archive, checker, body)
-        assert referrers(checker) == 5
+            assert kind in {p.doctype for p in checker.expectations()}
 
     def test_rejects_descriptor_types(self, archive, checker):
         for body in (sample_docs.EXTRA_INFO, sample_docs.MICRODESCRIPTOR):
@@ -81,18 +79,59 @@ class TestStartingPoints:
 
     def test_duplicate_add_keeps_one_entry(self, archive, checker, clock):
         entry = admit(archive, checker, sample_docs.VOTE)
+        first = checker.expectations()
+        assert len(first) == 4  # a bandwidth list and three descriptors
+        clock.set(ts(22, 0))
         parsed, _ = make_parsed(sample_docs.VOTE, clock)
         checker.add_referrer(parsed, entry)
-        assert referrers(checker) == 1
+        assert checker.expectations() == first
+        # the window still runs from the entry's store time, not the re-add
+        assert checker.expectations(now=ts(22, 5, 1)) == []
 
     def test_prune_window_boundaries(self, archive, checker):
         admit(archive, checker, sample_docs.VOTE)  # added at 19:05
+        wanted = checker.expectations()
 
-        assert checker.prune(now=ts(22, 4)) == 0      # 2h59m old: kept
-        assert checker.prune(now=ts(22, 5)) == 0      # exactly 3h: still kept
-        assert checker.prune(now=ts(22, 5, 1)) == 1   # 3h1s old: gone
-        assert checker.prune(now=ts(22, 5, 1)) == 0   # idempotent
-        assert referrers(checker) == 0
+        for now in (ts(22, 4), ts(22, 5)):  # 2h59m, then exactly 3h: kept
+            checker.prune(now)
+            assert checker.expectations(now) == wanted
+        assert checker.permanently_missed_count() == 0
+        checker.prune(ts(22, 5, 1))  # 3h1s old: gone
+        assert checker.expectations(ts(22, 5, 1)) == []
+        assert all(checker.missed(ident) for ident in wanted)
+        checker.prune(ts(22, 5, 1))  # idempotent
+        assert checker.permanently_missed_count() == len(wanted)
+
+    def test_unserved_reference_is_missed_once_at_its_window_end(
+            self, archive, checker, clock):
+        for body in (sample_docs.BANDWIDTH_LIST, sample_docs.SERVER_DESCRIPTOR):
+            archive.store(docparse.make_raw(body, "test", clock.now()))
+        admit(archive, checker, sample_docs.VOTE)  # at 19:05
+        unserved = checker.expectations()
+        assert [p.digests.sha1_hex for p in unserved] == sample_docs.VOTE_SD_DIGESTS[1:]
+
+        checker.prune(ts(22, 5))
+        assert not any(checker.missed(ident) for ident in unserved)
+        for now in (ts(22, 5, 1), ts(22, 30), ts(23, 0)):
+            checker.prune(now)
+            assert checker.permanently_missed_count() == 2
+            assert all(checker.missed(ident) for ident in unserved)
+            assert checker.expectations(now) == []
+
+    def test_later_referrer_wants_a_missed_reference_again(self, archive, checker, clock):
+        admit(archive, checker, sample_docs.VOTE)  # at 19:05
+        checker.prune(ts(22, 5, 1))
+        clock.set(ts(23, 0))
+        # the ns consensus references the first two of the vote's descriptors
+        admit(archive, checker, sample_docs.CONSENSUS_NS)
+        again = [p.digests.sha1_hex for p in checker.expectations()]
+        assert again == sample_docs.CONSENSUS_NS_SD_DIGESTS
+        left = DocumentIdentifier(DocType.ServerDescriptor, "", None, DigestSet(
+            sha1_hex=sample_docs.VOTE_SD_DIGESTS[2]))
+        assert checker.missed(left)
+        # wanted until the new referrer's window closes, then missed again
+        checker.prune(ts(2, 0, 1, day=16))
+        assert checker.permanently_missed_count() == 4 + 2
 
 
 class TestGuessing:
@@ -154,19 +193,33 @@ class TestGuessing:
         checker.guess_period_documents(now=ts(22, 0), timings=tm)
         assert checker.permanently_missed_count() == 8
 
+    def test_guess_window_end_is_exclusive(self, checker):
+        tm = timings()
+        guessed = checker.guess_period_documents(now=ts(19, 55), timings=tm)
+        votes = [g for g in guessed if g.doctype is DocType.Vote]
+        late = checker.guess_period_documents(now=ts(19, 59, 59), timings=tm)
+        assert [g for g in late if g.doctype is DocType.Vote] == votes
+        assert checker.permanently_missed_count() == 0
+        checker.guess_period_documents(now=ts(20, 0), timings=tm)
+        assert all(checker.missed(v) for v in votes)
+
     def test_pruning_keeps_the_missed_ledger_to_one_window(self, checker):
         # A day of guessing with nothing ever served: each hourly period
         # misses 3 votes, 3 signatures and 2 consensus flavors for good.
         tm = timings()
         now = ts(19, 5)
+        guessed = {}
         while now < ts(19, 5, day=16):
-            checker.guess_period_documents(now=now, timings=tm)
+            for ident in checker.guess_period_documents(now=now, timings=tm):
+                guessed[ident.key()] = ident
             checker.prune(now)
             now += timedelta(minutes=5)
         assert checker.permanently_missed_count() > 8 * 23
         # only misses whose window closed in the last 3 h (both ends
         # included: four periods) are kept
-        assert 0 < len(checker._missed) <= 8 * 4
+        kept = [ident for ident in guessed.values() if checker.missed(ident)]
+        assert 0 < len(kept) <= 8 * 4
+        assert not checker.missed(DocumentIdentifier(DocType.Vote, AUTHS[0], ts(20, 0)))
 
 
 class TestExpectations:

@@ -1,11 +1,12 @@
 import threading
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dircollect.clock import ManualClock
+from dircollect.clock import ManualClock, SystemClock
 from dircollect.docmodel import ConsensusTimings
 from dircollect.errors import InvalidTimings
 from dircollect.scheduler import (
@@ -114,8 +115,6 @@ def test_next_daily():
 
 
 def _wait_for(predicate, clock=None, timeout=5.0):
-    import time
-
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if predicate():
@@ -128,10 +127,9 @@ def _wait_for(predicate, clock=None, timeout=5.0):
 def loop():
     clock = ManualClock(ts(19, 0))
     sched = Scheduler(clock)
-    thread = sched.start()
+    sched.start()
     yield clock, sched
     sched.stop()
-    thread.join(timeout=5)
 
 
 def test_bootstrap_retries_with_backoff(loop):
@@ -254,3 +252,22 @@ def test_finished_job_threads_are_dropped(loop):
         clock.advance(30)
     assert _wait_for(lambda: len(runs) == 51)
     assert len(sched._threads) <= 2
+
+
+@pytest.mark.parametrize("make_clock", [lambda: ManualClock(ts(19, 0)), SystemClock],
+                         ids=["manual", "system"])
+@pytest.mark.parametrize("job_seconds", [0.0, 0.2], ids=["done", "running"])
+def test_stop_leaves_no_loop_or_job_thread(make_clock, job_seconds):
+    before = set(threading.enumerate())
+    sched = Scheduler(make_clock())
+    sched.start()
+    started = threading.Event()
+    sched.add_interval("job", lambda: (started.set(), time.sleep(job_seconds)),
+                       every_seconds=30)
+    assert started.wait(5)
+    if not job_seconds:
+        assert _wait_for(lambda: "job" in sched.completions())
+    sched.stop()
+    left = [t.name for t in threading.enumerate() if t not in before
+            and (t.name == "scheduler" or t.name.startswith("job-"))]
+    assert left == []
