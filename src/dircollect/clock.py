@@ -1,7 +1,7 @@
 """Injectable clocks.
 
 All scheduling logic runs against one of these instead of the wall clock,
-so tests can compress a voting period into seconds or step time manually.
+so tests can step time manually or compress a voting period into seconds.
 """
 
 from __future__ import annotations
@@ -37,35 +37,6 @@ class SystemClock(Clock):
     def wait_until(self, when, interrupt=None):
         while True:
             remaining = (when - datetime.now(timezone.utc)).total_seconds()
-            if remaining <= 0:
-                return
-            if interrupt is not None:
-                if interrupt.wait(min(remaining, _POLL)):
-                    return
-            else:
-                time.sleep(min(remaining, _POLL))
-
-
-class ScaledClock(Clock):
-    """Clock that maps wall time onto an accelerated timeline.
-
-    One wall second corresponds to ``speed`` clock seconds, starting from
-    ``epoch``. Used to run full voting periods in a few wall seconds while
-    real threads and HTTP servers keep working normally.
-    """
-
-    def __init__(self, epoch: datetime, speed: float = 1.0):
-        self.epoch = epoch
-        self.speed = speed
-        self._wall_start = time.monotonic()
-
-    def now(self) -> datetime:
-        elapsed = time.monotonic() - self._wall_start
-        return self.epoch + timedelta(seconds=elapsed * self.speed)
-
-    def wait_until(self, when, interrupt=None):
-        while True:
-            remaining = (when - self.now()).total_seconds() / self.speed
             if remaining <= 0:
                 return
             if interrupt is not None:

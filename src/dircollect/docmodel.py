@@ -77,11 +77,6 @@ def b64_to_hex(b64: str) -> str:
     return raw.hex().upper()
 
 
-def hex_to_b64(hexdigest: str) -> str:
-    """Hex digest -> unpadded standard base64."""
-    return base64.b64encode(bytes.fromhex(hexdigest)).decode("ascii").rstrip("=")
-
-
 @dataclass(frozen=True)
 class DigestSet:
     """Digests of one document in every encoding we know for it.

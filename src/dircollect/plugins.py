@@ -3,15 +3,17 @@
 A plugin names the documents it wants (`expectations`) and knows how to
 fetch them; the host owns every archive write and every parse: it parses
 each new document once, identifies and stores it, and hands the parse to
-the plugin's `admit`. It repeats the expectations -> fetch -> store loop
-until a cycle stops producing new documents. Two collectors ship
-in-tree: `relaydescs` for the directory protocol and `onionperf` for
-daily measurement files.
+the plugin's `admit`. Every scheduled fetch is one host cycle, which
+repeats the expectations -> fetch -> store loop until a round stops
+producing new documents, offers each identifier once, and runs one cycle
+per plugin at a time. Two collectors ship in-tree: `relaydescs` for the
+directory protocol and `onionperf` for daily measurement files.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Callable
@@ -69,6 +71,7 @@ class PluginContext:
     clock: Clock
     scheduler: Scheduler
     refchecker: ReferenceChecker
+    host: PluginHost
     servers: list[ServerEndpoint] = field(default_factory=list)
     tasks: TasksConfig = TasksConfig()
     onionperf: OnionPerfConfig = OnionPerfConfig()
@@ -84,7 +87,13 @@ class Plugin:
     """
 
     name = "plugin"
-    host: "PluginHost | None" = None
+
+    def __init__(self, context: PluginContext):
+        self.host = context.host
+        self.archive = context.archive
+        self.fetcher = context.fetcher
+        self.clock = context.clock
+        self.refchecker = context.refchecker
 
     def expectations(self) -> list[DocumentIdentifier]:
         """Wanted documents the archive lacks; the host fetches every one."""
@@ -126,9 +135,7 @@ class Plugin:
         """Hook for plugins that want scheduler time."""
 
     def run_once(self) -> int:
-        """One unscheduled collection pass; returns documents stored."""
-        if self.host is None:
-            return 0
+        """One collection cycle; returns documents stored."""
         return self.host.run_cycle(self)
 
 
@@ -138,6 +145,8 @@ class PluginHost:
     def __init__(self, archive: Archive, metrics: Metrics | None = None):
         self.archive = archive
         self.metrics = metrics or Metrics()
+        self._cycle_locks: dict[Plugin, threading.Lock] = {}
+        self._guard = threading.Lock()
 
     def store(self, plugin: Plugin, raw: RawDocument,
               ident: DocumentIdentifier | None = None) -> bool:
@@ -161,23 +170,33 @@ class PluginHost:
         Each round re-asks the plugin what is still missing, so documents
         discovered by earlier rounds (a vote referencing descriptors, a
         descriptor referencing its extra-info) get picked up before the
-        cycle ends. A round that archives nothing new ends the cycle.
+        cycle ends. Each identifier is offered once: one a round could not
+        fetch waits for a later cycle. A round that archives nothing new
+        ends the cycle. A plugin runs one cycle at a time, so two of its
+        jobs never hunt the same document at once; other plugins' cycles
+        do not wait.
         """
+        with self._guard:
+            lock = self._cycle_locks.setdefault(plugin, threading.Lock())
         total = 0
-        for _ in range(max_rounds):
-            pending = plugin.expectations()
-            if not pending:
-                break
-            pairs, unfetched = plugin.fetch_many(pending)
-            fresh = sum(
-                1 for ident, raw in pairs if self.store(plugin, raw, ident)
-            )
-            if unfetched:
-                log.info("event=cycle_unfetched plugin=%s count=%d",
-                         plugin.name, len(unfetched))
-            total += fresh
-            if fresh == 0:
-                break
+        offered: set[str] = set()
+        with lock:
+            for _ in range(max_rounds):
+                pending = [ident for ident in plugin.expectations()
+                           if ident.key() not in offered]
+                if not pending:
+                    break
+                offered.update(ident.key() for ident in pending)
+                pairs, unfetched = plugin.fetch_many(pending)
+                fresh = sum(
+                    1 for ident, raw in pairs if self.store(plugin, raw, ident)
+                )
+                if unfetched:
+                    log.info("event=cycle_unfetched plugin=%s count=%d",
+                             plugin.name, len(unfetched))
+                total += fresh
+                if fresh == 0:
+                    break
         self.metrics.incr(f"plugins.{plugin.name}.cycles")
         return total
 
@@ -188,13 +207,14 @@ class PluginHost:
 class RelayDescsPlugin(Plugin):
     """Consensuses, votes, signatures, descriptors and bandwidth files.
 
-    Wires four download behaviours onto the scheduler: a bootstrap fetch
-    of the current consensus, eager per-authority fetches of next-period
-    votes and detached signatures, a periodic reference-check cycle, and
-    (off unless configured) a greedy sweep of everything each authority
-    volunteers. Every digest-addressed attempt goes through the
-    reference checker's per-phase attempt ledger, so no (document,
-    server) pair is asked twice within one phase.
+    Wires four jobs onto the scheduler: a bootstrap fetch of the current
+    consensus, eager passes timed for next-period votes and detached
+    signatures, a periodic reference check, and (off unless configured) a
+    greedy sweep of everything each authority volunteers. After the
+    bootstrap fetch, every job but the sweep runs one host cycle. Every
+    digest-addressed attempt goes through the reference checker's
+    per-phase attempt ledger, so no (document, server) pair is asked
+    twice within one phase.
     """
 
     name = "relaydescs"
@@ -202,13 +222,9 @@ class RelayDescsPlugin(Plugin):
     def __init__(self, context: PluginContext):
         if not context.servers:
             raise PluginInitError("relaydescs needs at least one directory server")
-        self.archive = context.archive
-        self.fetcher = context.fetcher
-        self.clock = context.clock
+        super().__init__(context)
         self.scheduler = context.scheduler
-        self.refchecker = context.refchecker
         self.servers = list(context.servers)
-        self.host: PluginHost | None = None
         self.tasks = context.tasks
         self.check_interval = context.tasks.reference_check_interval
 
@@ -232,7 +248,6 @@ class RelayDescsPlugin(Plugin):
         """
         if self.scheduler.timings is not None:
             return
-        assert self.host is not None
         failures = 0
         for server in self._authorities():
             try:
@@ -257,20 +272,17 @@ class RelayDescsPlugin(Plugin):
         self.bootstrap()
         self.check_references()
 
-    def eager_votes(self) -> None:
-        self._fetch_period_guesses({DocType.Vote})
-
-    def eager_signatures(self) -> None:
-        self._fetch_period_guesses({DocType.DetachedSignature})
-
     def check_references(self) -> int:
         """One reference-check cycle; returns documents stored."""
-        assert self.host is not None
         if self.scheduler.timings is None:
             # bootstrap owns discovery (with its own backoff) until a
             # first consensus exists; probing here would double up on it
             return 0
         return self.host.run_cycle(self)
+
+    # timed to open windows, the cycle guesses the votes or signatures
+    # just published and chases their references at once
+    eager_votes = eager_signatures = check_references
 
     def run_once(self) -> int:
         try:
@@ -282,27 +294,12 @@ class RelayDescsPlugin(Plugin):
 
     def greedy_discovery(self) -> None:
         """Sweep each authority's voluntary listings once, no retries."""
-        assert self.host is not None
         for doctype in (DocType.ExtraInfoDescriptor, DocType.ServerDescriptor):
             for server in self._authorities():
                 if doctype is DocType.ExtraInfoDescriptor and not server.serves_extra_info():
                     continue
                 for raw in self.fetcher.fetch_all_descriptors(server, doctype):
                     self.host.store(self, raw)
-
-    def _fetch_period_guesses(self, types: set[DocType]) -> None:
-        assert self.host is not None
-        timings = self.scheduler.timings
-        if timings is None:
-            return
-        wanted = [
-            guess for guess in
-            self.refchecker.guess_period_documents(self.clock.now(), timings)
-            if guess.doctype in types
-        ]
-        pairs, _ = self.fetch_many(wanted)
-        for ident, raw in pairs:
-            self.host.store(self, raw, ident)
 
     # -- the plugin contract --------------------------------------------------
 
@@ -483,21 +480,13 @@ class OnionPerfPlugin(Plugin):
     def __init__(self, context: PluginContext):
         if not context.onionperf.hosts:
             raise PluginInitError("onionperf enabled with no hosts")
+        super().__init__(context)
         self.hosts = dict(context.onionperf.hosts)
         self.sizes = context.onionperf.sizes
         self.daily_at = context.onionperf.daily_at
-        self.archive = context.archive
-        self.fetcher = context.fetcher
-        self.clock = context.clock
-        self.refchecker = context.refchecker
-        self.host: PluginHost | None = None
 
     def register_jobs(self, scheduler: Scheduler) -> None:
-        scheduler.add_daily("onionperf", self.collect, at=self.daily_at)
-
-    def collect(self) -> None:
-        assert self.host is not None
-        self.host.run_cycle(self)
+        scheduler.add_daily("onionperf", self.run_once, at=self.daily_at)
 
     def expectations(self) -> list[DocumentIdentifier]:
         now = self.clock.now()
@@ -545,8 +534,7 @@ BUILTIN: dict[str, type[Plugin]] = {
 }
 
 
-def discover(names: list[str], context: PluginContext,
-             host: PluginHost) -> list[Plugin]:
+def discover(names: list[str], context: PluginContext) -> list[Plugin]:
     """Instantiate the named `BUILTIN` plugins; a broken one never stops
     the rest: a plugin whose constructor blows up is logged, counted and
     skipped."""
@@ -559,6 +547,5 @@ def discover(names: list[str], context: PluginContext,
             context.metrics.incr("plugins.init_failures")
             log.error("event=plugin_init_failed plugin=%s error=%r", name, exc)
             continue
-        plugin.host = host
         plugins.append(plugin)
     return plugins

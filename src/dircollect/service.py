@@ -119,6 +119,10 @@ _ROLES = tuple(role.value for role in Role)
 _roles = _check(list, f"a non-empty list of {', '.join(_ROLES)}",
                 lambda value: value and all(name in _ROLES for name in value),
                 lambda value: frozenset(map(Role, value)))
+# votes, signatures and bandwidth files name their authority by this,
+# in upper case
+_fingerprint = _check(str, "an authority's 40-hex-digit v3 identity fingerprint",
+                      lambda value: re.fullmatch(r"[0-9A-Fa-f]{40}", value), str.upper)
 _plugin_names = _check(list, f"a list of {', '.join(BUILTIN)}",
                        lambda value: all(name in tuple(BUILTIN) for name in value))
 
@@ -144,9 +148,12 @@ def _hosts(value, where: str) -> tuple[tuple[str, str], ...]:
 def _servers(value, where: str) -> list[ServerEndpoint]:
     servers = []
     for i, item in enumerate(_list(value, where)):
-        entry = _fields(item, f"{where}[{i}]", _SERVER)
+        path = f"{where}[{i}]"
+        entry = _fields(item, path, _SERVER)
         if "server_id" not in entry or "address" not in entry:
-            raise ConfigError(f"{where}[{i}] needs an id and an address")
+            raise ConfigError(f"{path} needs an id and an address")
+        if ServerEndpoint(**entry).is_authority:
+            entry["server_id"] = _fingerprint(entry["server_id"], f"{path}.id")
         servers.append(ServerEndpoint(**entry))
     return servers
 
@@ -225,10 +232,10 @@ class Service:
         context = PluginContext(
             archive=self.archive, fetcher=self.fetcher, clock=self.clock,
             scheduler=self.scheduler, refchecker=self.refchecker,
-            servers=self.servers, tasks=config.tasks,
+            host=self.host, servers=self.servers, tasks=config.tasks,
             onionperf=config.onionperf, metrics=self.metrics,
         )
-        self.plugins = discover(config.plugins_enabled, context, self.host)
+        self.plugins = discover(config.plugins_enabled, context)
         self.dirserver = DirServer(self.archive, self.clock,
                                    listen=config.listen, metrics=self.metrics,
                                    status_provider=self.status)

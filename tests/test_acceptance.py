@@ -27,7 +27,7 @@ import oracle_digests as oracle
 import sample_docs
 from dircollect import docparse
 from dircollect.archive import Archive, index_json_bytes
-from dircollect.clock import ManualClock, ScaledClock, SystemClock
+from dircollect.clock import Clock, ManualClock, SystemClock
 from dircollect.dirserver import DirServer
 from dircollect.docmodel import (
     ConsensusTimings,
@@ -53,6 +53,37 @@ def ts(hour, minute=0, second=0, day=15):
 
 EPOCH = ts(19, 47)
 BAIL = ts(21, 40)  # before the 21:50 voting window, so the census stays put
+
+
+class ScaledClock(Clock):
+    """Clock that maps wall time onto an accelerated timeline.
+
+    One wall second corresponds to ``speed`` clock seconds, starting from
+    ``epoch``, so full voting periods run in a few wall seconds while real
+    threads and HTTP servers keep working normally.
+    """
+
+    POLL = 0.05  # wall seconds between interrupt checks while waiting
+
+    def __init__(self, epoch: datetime, speed: float = 1.0):
+        self.epoch = epoch
+        self.speed = speed
+        self._wall_start = time.monotonic()
+
+    def now(self) -> datetime:
+        elapsed = time.monotonic() - self._wall_start
+        return self.epoch + timedelta(seconds=elapsed * self.speed)
+
+    def wait_until(self, when, interrupt=None):
+        while True:
+            remaining = (when - self.now()).total_seconds() / self.speed
+            if remaining <= 0:
+                return
+            if interrupt is not None:
+                if interrupt.wait(min(remaining, self.POLL)):
+                    return
+            else:
+                time.sleep(min(remaining, self.POLL))
 
 
 def _announce(capsys, num: int, name: str, verdict: str) -> None:
@@ -604,15 +635,16 @@ def test_11_onionperf_daily(capsys, tmp_path_factory):
                 clock=clock,
                 scheduler=Scheduler(clock),
                 refchecker=refchecker,
+                host=host,
                 metrics=metrics,
                 onionperf=OnionPerfConfig(hosts=tuple(
                     (source, f"http://{addr}/{source}") for source in sources)),
             )
-            plugin = discover(["onionperf"], context, host)[0]
+            plugin = discover(["onionperf"], context)[0]
 
             for day in (20, 21, 22):
                 clock.set(ts(1, 0, 0, day=day))
-                plugin.collect()
+                plugin.run_once()
 
             per_day = Counter(
                 entry.doc_datetime.date().isoformat()

@@ -1,3 +1,4 @@
+import base64
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -11,7 +12,6 @@ from dircollect.docmodel import (
     ConsensusTimings,
     RawDocument,
     b64_to_hex,
-    hex_to_b64,
     fmt_compact,
     fmt_ts,
     parse_compact,
@@ -20,6 +20,11 @@ from dircollect.docmodel import (
 from dircollect.errors import InvalidTimings, MalformedDocument
 
 T0 = datetime(2018, 11, 15, 19, 0, 0, tzinfo=timezone.utc)
+
+
+def hex_to_b64(hexdigest: str) -> str:
+    """Hex digest -> unpadded standard base64."""
+    return base64.b64encode(bytes.fromhex(hexdigest)).decode("ascii").rstrip("=")
 
 
 def test_doctype_members():

@@ -60,10 +60,11 @@ def build_rig(tmp_path, clock, net):
         clock=clock,
         scheduler=scheduler,
         refchecker=refchecker,
+        host=host,
         servers=servers,
         metrics=metrics,
     )
-    (plugin,) = discover(["relaydescs"], context, host)
+    (plugin,) = discover(["relaydescs"], context)
     return SimpleNamespace(
         archive=archive, metrics=metrics, scheduler=scheduler,
         refchecker=refchecker, host=host, context=context, plugin=plugin,
@@ -140,6 +141,35 @@ class _ToyPlugin(Plugin):
         self.admitted.append(entry.path)
 
 
+class _GatedPlugin(Plugin):
+    """Each cycle's `fetch_many` signals it entered, then holds until
+    released; it fetches nothing, so a cycle is one round."""
+
+    name = "gated"
+
+    def __init__(self):
+        self.entered = [threading.Event(), threading.Event()]
+        self.release = threading.Event()
+        self.calls = 0
+        self.inside = 0
+        self.most_inside = 0
+        self._lock = threading.Lock()
+
+    def expectations(self):
+        return [DocumentIdentifier(None, "held", None)]
+
+    def fetch_many(self, docids):
+        with self._lock:
+            self.entered[self.calls].set()
+            self.calls += 1
+            self.inside += 1
+            self.most_inside = max(self.most_inside, self.inside)
+        self.release.wait(5)
+        with self._lock:
+            self.inside -= 1
+        return [], docids
+
+
 class TestPluginHost:
     def test_cycle_stops_at_round_cap(self, tmp_path, clock):
         host = PluginHost(Archive(tmp_path / "data", clock))
@@ -169,12 +199,62 @@ class TestPluginHost:
         toy.explode_on_admit = True
         assert host.store(toy, junk_doc(2, clock.now())) is True
 
+    def test_cycle_offers_each_identifier_once(self, tmp_path, clock):
+        host = PluginHost(Archive(tmp_path / "data", clock))
+        toy = _ToyPlugin(clock)
+        offered = []
+        wanted = [DocumentIdentifier(None, "new", None),
+                  DocumentIdentifier(None, "failing", None)]
+        toy.expectations = lambda: wanted
+
+        def fetch(docid):
+            offered.append(docid.subject)
+            return [junk_doc(1, clock.now())] if docid.subject == "new" else []
+
+        toy.fetch = fetch
+        # the first round stores one document; the second has nothing
+        # left that was not offered already
+        assert host.run_cycle(toy) == 1
+        assert offered == ["new", "failing"]
+
+    def test_cycles_of_one_plugin_never_overlap(self, tmp_path, clock):
+        host = PluginHost(Archive(tmp_path / "data", clock))
+        gated = _GatedPlugin()
+        first = threading.Thread(target=host.run_cycle, args=(gated,))
+        first.start()
+        assert gated.entered[0].wait(5)
+        second = threading.Thread(target=host.run_cycle, args=(gated,))
+        second.start()
+        # while the first cycle is inside fetch_many the second stays out
+        assert not gated.entered[1].wait(0.5)
+        gated.release.set()
+        assert gated.entered[1].wait(5)
+        first.join(5)
+        second.join(5)
+        assert gated.most_inside == 1
+
+    def test_cycles_of_two_plugins_overlap(self, tmp_path, clock):
+        host = PluginHost(Archive(tmp_path / "data", clock))
+        one, other = _GatedPlugin(), _GatedPlugin()
+        threads = [threading.Thread(target=host.run_cycle, args=(plugin,))
+                   for plugin in (one, other)]
+        for thread in threads:
+            thread.start()
+        try:
+            # both get inside fetch_many before either is released
+            assert one.entered[0].wait(5) and other.entered[0].wait(5)
+        finally:
+            one.release.set()
+            other.release.set()
+            for thread in threads:
+                thread.join(5)
+
 
 def bare_context(archive, clock, **fields):
     return PluginContext(
         archive=archive, fetcher=Fetcher(clock), clock=clock,
         scheduler=Scheduler(clock), refchecker=ReferenceChecker(archive, clock),
-        **fields,
+        host=PluginHost(archive), **fields,
     )
 
 
@@ -185,7 +265,7 @@ class TestDiscovery:
         archive = Archive(tmp_path / "data", clock)
         metrics = Metrics()
         context = bare_context(archive, clock, metrics=metrics)
-        assert discover(["relaydescs"], context, PluginHost(archive)) == []
+        assert discover(["relaydescs"], context) == []
         assert metrics.counter("plugins.init_failures") == 1
 
 
@@ -518,17 +598,18 @@ def perf_rig(tmp_path, clock, tpf_host, sizes=(51200,)):
     archive = Archive(tmp_path / "data", clock)
     metrics = Metrics()
     refchecker = ReferenceChecker(archive, clock, metrics=metrics)
+    host = PluginHost(archive, metrics)
     context = PluginContext(
         archive=archive,
         fetcher=Fetcher(clock, metrics=metrics, timeout=5.0),
         clock=clock,
         scheduler=Scheduler(clock, metrics),
         refchecker=refchecker,
+        host=host,
         onionperf=OnionPerfConfig(hosts=(("op-ab", base),), sizes=sizes),
         metrics=metrics,
     )
-    host = PluginHost(archive, metrics)
-    (plugin,) = discover(["onionperf"], context, host)
+    (plugin,) = discover(["onionperf"], context)
     return SimpleNamespace(archive=archive, host=host, plugin=plugin,
                            refchecker=refchecker, context=context)
 
@@ -549,7 +630,7 @@ class TestOnionPerf:
             tpf_host.files[f"/op-ab-51200-{day}.tpf"] = tpf_body(
                 "op-ab", 51200, day)
         rig = perf_rig(tmp_path, clock, tpf_host)
-        rig.plugin.collect()
+        rig.plugin.run_once()
         assert rig.archive.counts() == {"torperf": 3}
         entry = next(e for e in rig.archive.entries()
                      if "2018-11-15" in e.path)
@@ -566,12 +647,12 @@ class TestOnionPerf:
         tpf_host.files["/op-ab-51200-2018-11-13.tpf"] = tpf_body(
             "op-ab", 51200, "2018-11-13")
         rig = perf_rig(tmp_path, clock, tpf_host)
-        rig.plugin.collect()
-        rig.plugin.collect()
+        rig.plugin.run_once()
+        rig.plugin.run_once()
         tpf_host.files["/op-ab-51200-2018-11-16.tpf"] = tpf_body(
             "op-ab", 51200, "2018-11-16")
         clock.set(ts(0, 20, day=17))
-        rig.plugin.collect()
+        rig.plugin.run_once()
         missing = [p for p in tpf_host.paths
                    if p == "/op-ab-51200-2018-11-14.tpf"]
         assert len(missing) == 1
@@ -581,9 +662,9 @@ class TestOnionPerf:
     def test_missed_days_age_out_of_the_ledger(self, tmp_path, tpf_host):
         clock = ManualClock(ts(0, 20, day=16))
         rig = perf_rig(tmp_path, clock, tpf_host)
-        rig.plugin.collect()  # days 13-15, none served
+        rig.plugin.run_once()  # days 13-15, none served
         clock.set(ts(0, 20, day=20))
-        rig.plugin.collect()  # days 17-19, none served
+        rig.plugin.run_once()  # days 17-19, none served
         assert rig.refchecker.permanently_missed_count() == 6
         held = [day for day in range(13, 20) if rig.refchecker.missed(
             OnionPerfPlugin._ident("op-ab", 51200, date(2018, 11, day)))]
@@ -599,11 +680,12 @@ class TestOnionPerf:
         asked = {}
         for day in (14, 15, 16, 17, 18):
             clock.set(ts(0, 20, day=day))
-            rig.plugin.collect()
+            rig.plugin.run_once()
             asked[day] = tpf_host.paths.count("/op-ab-51200-2018-11-13.tpf")
             # its window closes at the start of the 17th
             assert rig.refchecker.permanently_missed_count() == (day >= 17)
-        assert 0 < asked[14] < asked[15] < asked[16] == asked[18]
+        # one request per daily collect while the day is wanted
+        assert asked == {14: 1, 15: 2, 16: 3, 17: 3, 18: 3}
         assert rig.archive.counts() == {"torperf": 6}
 
     def test_requires_hosts(self, tmp_path, clock):

@@ -54,7 +54,7 @@ class TestConfig:
             "plugins:\n"
             "  enabled: [relaydescs, onionperf]\n"
             "servers:\n"
-            "  - id: AAAA\n"
+            "  - id: d586d18309ded4cd6d57c18fdb97efa96d330566\n"
             "    address: 10.0.0.1:9030\n"
             "    roles: [authority]\n"
             "  - id: BBBB\n"
@@ -69,6 +69,8 @@ class TestConfig:
         assert config.listen == "0.0.0.0:8080"
         assert config.plugins_enabled == ["relaydescs", "onionperf"]
         assert config.servers[0].is_authority
+        assert config.servers[0].server_id == "D586D18309DED4CD6D57C18FDB97EFA96D330566"
+        assert config.servers[1].server_id == "BBBB"
         assert config.servers[1].serves_extra_info()
         assert not config.servers[1].is_authority
         assert config.onionperf.daily_at == "01:30"
@@ -130,7 +132,8 @@ class TestConfig:
         path.write_text(block)
         config = load_config(str(path))
         assert config.plugins_enabled == ["relaydescs", "onionperf"]
-        assert [s.server_id for s in config.servers] == ["moria1", "cache-1"]
+        assert [s.server_id for s in config.servers] == [
+            "D586D18309DED4CD6D57C18FDB97EFA96D330566", "cache-1"]
         assert config.onionperf.hosts == (
             ("op-ab", "https://op-ab.example.org/"),
             ("op-cd", "https://op-cd.example.org/data/"),
@@ -223,6 +226,24 @@ class TestServiceOnce:
             assert status == 200 and body, path
         service.seed_from_archive()
 
+    def test_lower_case_authority_ids_archive_the_period(self, tmp_path, clock, net):
+        path = tmp_path / "c.yaml"
+        path.write_text("servers:\n" + "".join(
+            f"  - {{id: {identity.lower()}, address: '{addr}', roles: [authority]}}\n"
+            for identity, addr in net.endpoints()))
+        config = load_config(str(path), {"archive_root": tmp_path / "data",
+                                         "listen": "127.0.0.1:0"})
+        assert [s.server_id for s in config.servers] == [i for i, _ in net.endpoints()]
+        service = Service(config, clock=clock)
+        # votes with their bandwidth files, signatures, the next consensus
+        for moment in (ts(19, 52, 30), ts(19, 57, 30), ts(20, 0, 30)):
+            clock.set(moment)
+            service.once()
+        counts = service.archive.counts()
+        assert [counts.get(t) for t in ("vote", "bandwidth-file", "detached-signature")] \
+            == [3, 3, 3]
+        assert service.refchecker.permanently_missed_count() == 0
+
     def test_status_reports_the_shared_miss_ledger(self, tmp_path, clock):
         service = Service(Config(archive_root=tmp_path / "data", plugins_enabled=[]),
                           clock=clock)
@@ -303,6 +324,12 @@ BAD_CONFIGS = [
     ("role-upper-case", f"servers: [{{{_MORIA}, roles: [Authority]}}]", [],
      "servers[0].roles"),
     ("servers-not-a-list", "servers: moria1", [], "servers"),
+    ("authority-id-a-nickname", f"servers: [{{{_MORIA}, roles: [authority]}}]", [],
+     "servers[0].id"),
+    ("authority-id-39-hex", f"servers: [{{id: {'A' * 39}, address: 'a:1', roles: [authority]}}]",
+     [], "servers[0].id"),
+    ("authority-id-not-hex", f"servers: [{{id: {'G' * 40}, address: 'a:1', roles: [authority]}}]",
+     [], "servers[0].id"),
     ("hosts-a-string", 'onionperf: {hosts: "https://op-ab.example.org/"}', [],
      "onionperf.hosts"),
     ("host-not-a-url", "onionperf: {hosts: [op-ab.example.org]}", [], "onionperf.hosts[0]"),
