@@ -1,4 +1,4 @@
-"""Read side: re-serve archived documents over the directory URL layout.
+"""Read side: re-serve archived documents over the fetcher's URL table.
 
 A collector is also a directory source. What was fetched can be fetched
 back: the current consensus per flavor, descriptors by digest batch,
@@ -29,12 +29,12 @@ from .archive import Archive, ArchiveEntry, index_json_bytes
 from .clock import Clock
 from .docmodel import DocType, RawDocument
 from .errors import CollectorError
-from .fetcher import MAX_BATCH
+from .fetcher import BATCH_URLS, BULK_URLS, DOCUMENT_URLS, MAX_BATCH
 from .metrics import Metrics
 
 log = logging.getLogger("dircollect.dirserver")
 
-#: how far back /tor/server/all and /tor/extra/all reach
+#: how far back the bulk routes reach
 BULK_WINDOW = timedelta(hours=24)
 #: the most body bytes kept in memory once verified
 BODY_CACHE_BYTES = 64 << 20
@@ -45,25 +45,17 @@ GZIP_LEVEL = 6
 _HEX40 = re.compile(r"[0-9A-Fa-f]{40}\Z")
 _B64_43 = re.compile(r"[0-9A-Za-z+/]{43}\Z")
 
+#: batch prefix -> (type, separator, digest token)
 _BATCH_ROUTES = {
-    "/tor/server/d/": (DocType.ServerDescriptor, "+", _HEX40),
-    "/tor/extra/d/": (DocType.ExtraInfoDescriptor, "+", _HEX40),
-    "/tor/micro/d/": (DocType.Microdescriptor, "-", _B64_43),
+    prefix: (doctype, sep, _B64_43 if doctype is DocType.Microdescriptor else _HEX40)
+    for doctype, (prefix, sep) in BATCH_URLS.items()
 }
+_BULK = {path: doctype for doctype, path in BULK_URLS.items()}
+_FLAVORS = {DOCUMENT_URLS[t]: t for t in (DocType.ConsensusNs, DocType.ConsensusMicrodesc)}
 
 #: gzip in an Accept-Encoding value, and its q-value if it has one
 _GZIP_CODING = re.compile(
     r"(?:^|,)\s*gzip\s*(?:;\s*q=([01](?:\.\d{0,3})?))?\s*(?:,|$)", re.IGNORECASE)
-
-_BULK = {
-    "/tor/server/all": DocType.ServerDescriptor,
-    "/tor/extra/all": DocType.ExtraInfoDescriptor,
-}
-
-_FLAVORS = {
-    "/tor/status-vote/current/consensus": DocType.ConsensusNs,
-    "/tor/status-vote/current/consensus-microdesc": DocType.ConsensusMicrodesc,
-}
 
 
 class DirServer:

@@ -83,15 +83,27 @@ class ServerEndpoint:
         return Role.ExtraInfoCache in self.roles
 
 
-CONSENSUS_PATHS = {
+#: The directory protocol's URLs (dir-spec), the one place they are
+#: written: the dirserver serves these same routes back.
+#: Whole documents by type: both consensus flavors, then the next
+#: period's vote, detached signatures and bandwidth file.
+DOCUMENT_URLS = {
     DocType.ConsensusNs: "/tor/status-vote/current/consensus",
     DocType.ConsensusMicrodesc: "/tor/status-vote/current/consensus-microdesc",
+    DocType.Vote: "/tor/status-vote/next/authority",
+    DocType.DetachedSignature: "/tor/status-vote/next/consensus-signatures",
+    DocType.BandwidthList: "/tor/status-vote/next/bandwidth",
 }
-
-_BATCH_ROUTES = {
+#: Digest batches: (prefix, separator) per type.
+BATCH_URLS = {
     DocType.ServerDescriptor: ("/tor/server/d/", "+"),
     DocType.ExtraInfoDescriptor: ("/tor/extra/d/", "+"),
     DocType.Microdescriptor: ("/tor/micro/d/", "-"),
+}
+#: Everything a server volunteers of a type.
+BULK_URLS = {
+    DocType.ServerDescriptor: "/tor/server/all",
+    DocType.ExtraInfoDescriptor: "/tor/extra/all",
 }
 
 
@@ -189,21 +201,9 @@ class Fetcher:
 
     # -- single documents --------------------------------------------------------
 
-    def fetch_current_consensus(
-        self, server: ServerEndpoint, flavor: DocType = DocType.ConsensusNs
-    ) -> RawDocument:
-        return self._raw(self.get(server, CONSENSUS_PATHS[flavor]), server)
-
-    def fetch_next_vote(self, server: ServerEndpoint) -> RawDocument:
-        return self._raw(self.get(server, "/tor/status-vote/next/authority"), server)
-
-    def fetch_detached_signatures(self, server: ServerEndpoint) -> RawDocument:
-        return self._raw(
-            self.get(server, "/tor/status-vote/next/consensus-signatures"), server
-        )
-
-    def fetch_next_bandwidth(self, server: ServerEndpoint) -> RawDocument:
-        return self._raw(self.get(server, "/tor/status-vote/next/bandwidth"), server)
+    def fetch(self, server: ServerEndpoint, doctype: DocType) -> RawDocument:
+        """The whole document of a `DOCUMENT_URLS` type a server serves now."""
+        return self._raw(self.get(server, DOCUMENT_URLS[doctype]), server)
 
     # -- digest batches -----------------------------------------------------------
 
@@ -223,7 +223,7 @@ class Fetcher:
         unfetched after every willing server was tried once are returned
         for the caller to deal with; there are no retries here.
         """
-        prefix, sep = _BATCH_ROUTES[doctype]
+        prefix, sep = BATCH_URLS[doctype]
         remaining: dict[str, DocumentIdentifier] = {}
         unfetchable = []
         for ident in idents:
@@ -283,9 +283,9 @@ class Fetcher:
     def fetch_all_descriptors(
         self, server: ServerEndpoint, doctype: DocType
     ) -> list[RawDocument]:
-        """Everything a server will volunteer: /tor/server/all or
-        /tor/extra/all. One attempt, no retry; failures just log."""
-        path = "/tor/server/all" if doctype is DocType.ServerDescriptor else "/tor/extra/all"
+        """Everything a server will volunteer of a `BULK_URLS` type.
+        One attempt, no retry; failures just log."""
+        path = BULK_URLS[doctype]
         try:
             body = self.get(server, path)
         except FetchError as exc:

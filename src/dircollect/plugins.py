@@ -16,14 +16,13 @@ import logging
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from typing import Callable
 
 from . import docparse
 from .archive import Archive, ArchiveEntry
 from .clock import Clock
 from .docmodel import DocType, DocumentIdentifier, RawDocument
 from .errors import CollectorError, FetchError, PermanentMiss, PluginInitError
-from .fetcher import ONIONPERF_SIZES, Fetcher, ServerEndpoint
+from .fetcher import BATCH_URLS, DOCUMENT_URLS, ONIONPERF_SIZES, Fetcher, ServerEndpoint
 from .metrics import Metrics
 from .refchecker import REFERRER_TYPES, REFERRER_WINDOW, ReferenceChecker
 from .scheduler import Phase, Scheduler
@@ -31,12 +30,6 @@ from .scheduler import Phase, Scheduler
 log = logging.getLogger("dircollect.plugins")
 
 MAX_ROUNDS = 10
-
-_BATCH_TYPES = frozenset({
-    DocType.ServerDescriptor,
-    DocType.ExtraInfoDescriptor,
-    DocType.Microdescriptor,
-})
 
 _CONSENSUS_TYPES = frozenset({DocType.ConsensusNs, DocType.ConsensusMicrodesc})
 
@@ -251,7 +244,7 @@ class RelayDescsPlugin(Plugin):
         failures = 0
         for server in self._authorities():
             try:
-                raw = self.fetcher.fetch_current_consensus(server)
+                raw = self.fetcher.fetch(server, DocType.ConsensusNs)
             except FetchError as exc:
                 log.info("event=bootstrap_attempt_failed server=%s error=%r",
                          server.server_id, exc)
@@ -307,7 +300,12 @@ class RelayDescsPlugin(Plugin):
         now = self.clock.now()
         guesses = self.refchecker.guess_period_documents(
             now, self.scheduler.timings)
-        return guesses + self.refchecker.expectations(now)
+        refs = self.refchecker.expectations(now)
+        # both hunts of a consensus ask for its period's URL, so a guess
+        # beside a digest reference would only ask the next server again
+        hunted = {(ref.doctype, ref.datetime) for ref in refs
+                  if ref.doctype in _CONSENSUS_TYPES}
+        return [g for g in guesses if (g.doctype, g.datetime) not in hunted] + refs
 
     def fetch_many(self, docids):
         pairs: FetchResult = []
@@ -315,7 +313,7 @@ class RelayDescsPlugin(Plugin):
         batches: dict[DocType, list[DocumentIdentifier]] = {}
         singles: list[DocumentIdentifier] = []
         for docid in docids:
-            if docid.doctype in _BATCH_TYPES and not docid.digests.empty:
+            if docid.doctype in BATCH_URLS and not docid.digests.empty:
                 batches.setdefault(docid.doctype, []).append(docid)
             else:
                 singles.append(docid)
@@ -332,19 +330,10 @@ class RelayDescsPlugin(Plugin):
         return pairs, unfetched
 
     def fetch(self, docid: DocumentIdentifier) -> list[RawDocument]:
-        t = docid.doctype
-        if t is DocType.Vote:
-            return self._fetch_from_authority(docid, self.fetcher.fetch_next_vote)
-        if t is DocType.DetachedSignature:
-            return self._fetch_from_authority(
-                docid, self.fetcher.fetch_detached_signatures)
-        if t is DocType.BandwidthList:
-            if not self._bandwidth_window_open(docid):
-                return []
-            return self._fetch_from_authority(
-                docid, self.fetcher.fetch_next_bandwidth)
-        if t in _CONSENSUS_TYPES:
+        if docid.doctype in _CONSENSUS_TYPES:
             return self._fetch_consensus(docid)
+        if docid.doctype in DOCUMENT_URLS:
+            return self._fetch_from_authority(docid)
         raise FetchError(f"relaydescs cannot fetch {docid.key()}")
 
     def admit(self, entry, parsed) -> None:
@@ -381,16 +370,13 @@ class RelayDescsPlugin(Plugin):
 
     # -- fetch strategies ------------------------------------------------------
 
-    def _fetch_from_authority(
-        self, docid: DocumentIdentifier,
-        method: Callable[[ServerEndpoint], RawDocument],
-    ) -> list[RawDocument]:
+    def _fetch_from_authority(self, docid: DocumentIdentifier) -> list[RawDocument]:
         server = self._endpoint_for(docid.subject)
         if server is None:
             raise FetchError(f"no endpoint for {docid.subject[:16]}")
         if not self._gate(docid, server.server_id):
             return []
-        return [method(server)]
+        return [self.fetcher.fetch(server, docid.doctype)]
 
     def _fetch_consensus(self, docid: DocumentIdentifier) -> list[RawDocument]:
         """Hunt one flavor's consensus for one period across servers.
@@ -414,7 +400,7 @@ class RelayDescsPlugin(Plugin):
             if not self._gate(period_docid, server.server_id):
                 continue
             try:
-                raw = self.fetcher.fetch_current_consensus(server, docid.doctype)
+                raw = self.fetcher.fetch(server, docid.doctype)
             except FetchError as exc:
                 log.info("event=consensus_fetch_failed server=%s error=%r",
                          server.server_id, exc)
@@ -423,16 +409,6 @@ class RelayDescsPlugin(Plugin):
             if docid.digests.empty or raw.digests.matches(docid.digests):
                 break
         return docs
-
-    def _bandwidth_window_open(self, docid: DocumentIdentifier) -> bool:
-        # next/bandwidth is only served during the voting window before
-        # the referencing vote's valid-after; outside it, save the attempt.
-        timings = self.scheduler.timings
-        if docid.datetime is None or timings is None:
-            return True
-        opens = docid.datetime - timedelta(
-            seconds=timings.vote_seconds + timings.dist_seconds)
-        return opens <= self.clock.now() < docid.datetime
 
     # -- plumbing ---------------------------------------------------------------
 

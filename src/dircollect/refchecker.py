@@ -3,8 +3,9 @@
 `_wanted` is the one ledger of documents a plugin waits for and has not
 yet seen archived: the references of every status document and server
 descriptor, extracted once on arrival and wanted for three hours from
-its store time; period documents guessed from the consensus timing,
-wanted while the protocol serves them; OnionPerf's measurement days.
+its store time (a bandwidth file only until its vote's valid-after);
+period documents guessed from the consensus timing, wanted while the
+protocol serves them; OnionPerf's measurement days.
 `prune` is the one expiry step: a window that closes unarchived makes a
 permanent miss, forgotten one referrer window later. The attempt ledger
 stops a (document, server) pair being asked twice in one downloader phase.
@@ -107,8 +108,12 @@ class ReferenceChecker:
             raise WrongDocType(f"{parsed.doctype} references nothing worth checking")
         until = entry.stored_at + REFERRER_WINDOW + timedelta.resolution
         for ref in docparse.extract_references(parsed, self.metrics):
-            if ref.doctype in _EXPECT_ORDER:
-                self._want(ref, until)
+            ends = until
+            if ref.doctype is DocType.BandwidthList and ref.datetime is not None:
+                ends = min(until, ref.datetime)  # served until its vote's valid-after
+            # a window that closed before its referrer arrived asks for nothing
+            if ref.doctype in _EXPECT_ORDER and ends > entry.stored_at:
+                self._want(ref, ends)
 
     def prune(self, now: datetime | None = None) -> None:
         """The one expiry step: an entry whose window closed unarchived

@@ -18,7 +18,15 @@ from dircollect import dirserver, docparse
 from dircollect.archive import Archive, index_json_bytes
 from dircollect.clock import ManualClock
 from dircollect.dirserver import BULK_WINDOW, DirServer
-from dircollect.fetcher import MAX_BATCH
+from dircollect.docmodel import DocType, DocumentIdentifier
+from dircollect.fetcher import (
+    BATCH_URLS,
+    BULK_URLS,
+    MAX_BATCH,
+    Fetcher,
+    Role,
+    ServerEndpoint,
+)
 from dircollect.simnet import SimNetwork, SimScenario
 
 
@@ -219,6 +227,30 @@ class TestMeta:
         assert get_body(
             server, f"/tor/micro/d/{sample_docs.MICRODESCRIPTOR_SHA256_B64}"
         ) == sample_docs.MICRODESCRIPTOR
+
+
+def test_a_fetcher_collects_through_every_route(server, archive, clock):
+    """A dircollect collecting from a dircollect: each route the fetcher
+    asks for serves back the stored bytes."""
+    batches = {DocType.ServerDescriptor: sample_docs.SERVER_DESCRIPTOR,
+               DocType.ExtraInfoDescriptor: sample_docs.EXTRA_INFO,
+               DocType.Microdescriptor: sample_docs.MICRODESCRIPTOR}
+    assert set(batches) == set(BATCH_URLS) and set(BULK_URLS) <= set(batches)
+    flavors = {DocType.ConsensusNs: sample_docs.CONSENSUS_NS,
+               DocType.ConsensusMicrodesc: sample_docs.CONSENSUS_MD}
+    entries = stored(archive, clock, *flavors.values(), *batches.values())
+    upstream = ServerEndpoint("upstream", server.address, frozenset({Role.Authority}))
+    fetcher = Fetcher(clock, timeout=5.0)
+
+    for flavor, body in flavors.items():
+        assert fetcher.fetch(upstream, flavor).body == body
+    for entry in entries[len(flavors):]:
+        ident = DocumentIdentifier(entry.doctype, "", None, entry.digests)
+        docs, unfetched = fetcher.fetch_batch(entry.doctype, [ident], [upstream])
+        assert ([d.body for d in docs], unfetched) == ([batches[entry.doctype]], [])
+    for doctype in BULK_URLS:
+        assert [d.body for d in fetcher.fetch_all_descriptors(upstream, doctype)] \
+            == [batches[doctype]]
 
 
 def test_batches_are_capped_at_max_batch(server, archive, clock):

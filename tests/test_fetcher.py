@@ -91,29 +91,29 @@ def test_role_expansion():
 
 class TestSingleDocuments:
     def test_current_consensus_both_flavors(self, net, servers, fetcher):
-        raw = fetcher.fetch_current_consensus(servers[0])
+        raw = fetcher.fetch(servers[0], DocType.ConsensusNs)
         assert raw.body == net.periods[0].consensus_ns
         assert raw.doctype is DocType.ConsensusNs
         assert raw.source == servers[0].server_id
 
-        md = fetcher.fetch_current_consensus(servers[1], DocType.ConsensusMicrodesc)
+        md = fetcher.fetch(servers[1], DocType.ConsensusMicrodesc)
         assert md.body == net.periods[0].consensus_md
         assert md.doctype is DocType.ConsensusMicrodesc
 
     def test_vote_and_signature_and_bandwidth(self, net, servers, fetcher, clock):
         with pytest.raises(HttpError) as err:
-            fetcher.fetch_next_vote(servers[0])
+            fetcher.fetch(servers[0], DocType.Vote)
         assert err.value.status == 404
 
         clock.set(ts(19, 50))
-        vote = fetcher.fetch_next_vote(servers[0])
+        vote = fetcher.fetch(servers[0], DocType.Vote)
         assert vote.body == net.periods[1].votes[servers[0].server_id]
         assert vote.doctype is DocType.Vote
-        bw = fetcher.fetch_next_bandwidth(servers[2])
+        bw = fetcher.fetch(servers[2], DocType.BandwidthList)
         assert bw.doctype is DocType.BandwidthList
 
         clock.set(ts(19, 55))
-        sig = fetcher.fetch_detached_signatures(servers[1])
+        sig = fetcher.fetch(servers[1], DocType.DetachedSignature)
         assert sig.body == net.periods[1].sigs[servers[1].server_id]
         assert sig.doctype is DocType.DetachedSignature
 

@@ -348,7 +348,8 @@ class TestBootstrap:
 
 
 class TestSeed:
-    def test_seed_readmits_recent_statuses(self, tmp_path, clock, net):
+    def test_seed_readmits_recent_statuses(self, tmp_path, net):
+        clock = ManualClock(ts(18, 55))  # before 19:00: the vote's bandwidth list is wanted
         archive = Archive(tmp_path / "data", clock)
         for body in (sample_docs.VOTE, sample_docs.CONSENSUS_NS,
                      sample_docs.SERVER_DESCRIPTOR, sample_docs.EXTRA_INFO):
@@ -363,7 +364,7 @@ class TestSeed:
         ) - {sample_docs.VOTE_SD_DIGESTS[0]}
         assert fresh.scheduler.timings.valid_after == ts(19)
 
-        clock.set(ts(23, 30))  # stored 4h25m ago now
+        clock.set(ts(23, 30))  # stored 4h35m ago now
         later = build_rig(tmp_path, clock, net)
         later.plugin.seed()
         later.refchecker.prune()  # a re-admitted reference would be missed now
@@ -403,6 +404,22 @@ class TestEagerTasks:
             clock.now(), rig.scheduler.timings)
         assert not [g for g in guessed
                     if g.doctype is DocType.DetachedSignature]
+
+    def test_signature_pass_then_one_request_per_consensus_url(self, rig, net, clock):
+        # the period's guess and the signatures' digest reference name the
+        # same consensus; one hunt asks its URL, not one hunt each
+        rig.plugin.bootstrap()
+        clock.set(ts(19, 57, 30))
+        rig.plugin.eager_signatures()
+        asked_before = len(net.requests())
+        clock.set(ts(20, 0, 30))
+        rig.plugin.check_references()
+        asked = Counter(r.path for r in net.requests()[asked_before:]
+                        if r.path.startswith("/tor/status-vote/current/consensus"))
+        assert asked == {"/tor/status-vote/current/consensus": 1,
+                         "/tor/status-vote/current/consensus-microdesc": 1}
+        for flavor in (DocType.ConsensusNs, DocType.ConsensusMicrodesc):
+            assert rig.archive.contains(DocumentIdentifier(flavor, "", ts(20)))
 
 
 class TestReferenceCycle:

@@ -39,6 +39,13 @@ def checker(archive, clock):
     return ReferenceChecker(archive, clock, authorities=AUTHS, metrics=Metrics())
 
 
+def checker_at(tmp_path, now):
+    """An archive and a checker whose clock starts at ``now``."""
+    clock = ManualClock(now)
+    archive = Archive(tmp_path / "at", clock)
+    return archive, ReferenceChecker(archive, clock, authorities=AUTHS, metrics=Metrics())
+
+
 def make_parsed(body, clock):
     raw = docparse.make_raw(body, "test", clock.now())
     return docparse.parse(raw), raw
@@ -59,8 +66,10 @@ def timings():
 
 
 class TestStartingPoints:
-    def test_accepts_status_documents(self, archive, checker):
-        # each referrer type adds references of a kind of its own
+    def test_accepts_status_documents(self, tmp_path):
+        # each referrer type adds references of a kind of its own; the
+        # vote's bandwidth list only before the vote's 19:00 valid-after
+        archive, checker = checker_at(tmp_path, ts(18, 55))
         for body, kind in (
             (sample_docs.CONSENSUS_NS, DocType.ServerDescriptor),
             (sample_docs.VOTE, DocType.BandwidthList),
@@ -80,7 +89,8 @@ class TestStartingPoints:
     def test_duplicate_add_keeps_one_entry(self, archive, checker, clock):
         entry = admit(archive, checker, sample_docs.VOTE)
         first = checker.expectations()
-        assert len(first) == 4  # a bandwidth list and three descriptors
+        # three descriptors; the bandwidth list's window closed at 19:00
+        assert [p.doctype for p in first] == [DocType.ServerDescriptor] * 3
         clock.set(ts(22, 0))
         parsed, _ = make_parsed(sample_docs.VOTE, clock)
         checker.add_referrer(parsed, entry)
@@ -91,6 +101,8 @@ class TestStartingPoints:
     def test_prune_window_boundaries(self, archive, checker):
         admit(archive, checker, sample_docs.VOTE)  # added at 19:05
         wanted = checker.expectations()
+        # the bandwidth list's window closed at 19:00, before the vote came
+        assert DocType.BandwidthList not in {p.doctype for p in wanted}
 
         for now in (ts(22, 4), ts(22, 5)):  # 2h59m, then exactly 3h: kept
             checker.prune(now)
@@ -101,6 +113,22 @@ class TestStartingPoints:
         assert all(checker.missed(ident) for ident in wanted)
         checker.prune(ts(22, 5, 1))  # idempotent
         assert checker.permanently_missed_count() == len(wanted)
+
+    def test_bandwidth_list_wanted_until_its_votes_valid_after(self, tmp_path):
+        archive, checker = checker_at(tmp_path, ts(18, 55))
+        admit(archive, checker, sample_docs.VOTE)
+
+        def bandwidth(now):
+            return [p for p in checker.expectations(now) if p.doctype is DocType.BandwidthList]
+
+        (wanted,) = bandwidth(ts(18, 55))
+        assert bandwidth(ts(18, 59, 59)) == [wanted]
+        checker.prune(ts(18, 59, 59))
+        assert not checker.missed(wanted)
+        assert bandwidth(ts(19, 0)) == []
+        checker.prune(ts(19, 0, 1))
+        assert checker.missed(wanted)
+        assert checker.permanently_missed_count() == 1  # the descriptors are still wanted
 
     def test_unserved_reference_is_missed_once_at_its_window_end(
             self, archive, checker, clock):
@@ -131,7 +159,9 @@ class TestStartingPoints:
         assert checker.missed(left)
         # wanted until the new referrer's window closes, then missed again
         checker.prune(ts(2, 0, 1, day=16))
-        assert checker.permanently_missed_count() == 4 + 2
+        # the vote's three descriptors, then two again; its bandwidth
+        # list's window closed at 19:00, before the vote came
+        assert checker.permanently_missed_count() == 3 + 2
 
 
 class TestGuessing:
@@ -223,7 +253,9 @@ class TestGuessing:
 
 
 class TestExpectations:
-    def test_order_and_archive_filtering(self, archive, checker):
+    def test_order_and_archive_filtering(self, tmp_path):
+        # at 18:55 the vote's bandwidth list is still served
+        archive, checker = checker_at(tmp_path, ts(18, 55))
         for body in (sample_docs.VOTE, sample_docs.SAMPLE_DETACHED_SIGNATURE,
                      sample_docs.SERVER_DESCRIPTOR):
             admit(archive, checker, body)
