@@ -45,6 +45,13 @@ Each type's current segment and the manifest month last written keep
 one held append handle each, replaced when the store moves on. All other
 opens pass through one counting gate; ``archive.open_files_peak``
 counts both (but not the root's directory descriptor).
+
+``index.json`` and the served ``/index.json`` are one rendering,
+``index_json_bytes(archive.build_index())``: each entry's record is
+rendered by the index build (not by the store), and a build handed the
+records that earlier builds rendered renders only the entries they lack.
+The dirserver holds them, so that its index rebuild after a store is a
+sort, a join of the held records and a gzip.
 """
 
 from __future__ import annotations
@@ -185,6 +192,9 @@ class ArchiveEntry:
 class IndexFile:
     generated_at: str
     entries: tuple[ArchiveEntry, ...]
+    #: each entry's record in ``/index.json`` (see ``_index_record``), in
+    #: the same order
+    records: tuple[bytes, ...]
 
 
 @dataclass
@@ -637,19 +647,40 @@ class Archive:
 
     # -- index ----------------------------------------------------------------------
 
-    def build_index(self) -> IndexFile:
-        """The index as of now; writing it out is the service's job."""
+    def build_index(self, rendered: dict[str, dict[int, bytes]] | None = None) -> IndexFile:
+        """The index as of now; writing it out is the service's job.
+
+        ``rendered`` (segment -> offset -> record) holds the records that
+        earlier builds rendered; this build renders only the entries it
+        lacks, and adds them. The indexes stay locked only while each
+        type's list is copied: the sort and the rendering run unlocked."""
         with self._lock:
-            entries = sorted(
-                (e for found in self._by_type.values() for e in found),
-                key=lambda e: (
-                    e.type_name,
-                    e.doc_datetime,
-                    e.digests.primary_for(e.doctype) or "",
-                ),
-            )
-        generated = fmt_ts(max(e.stored_at for e in entries)) if entries else _EPOCH_TS
-        return IndexFile(generated, tuple(entries))
+            lists = [found[:] for found in self._by_type.values()]
+        if not lists:
+            return IndexFile(_EPOCH_TS, (), ())
+        # each list is in stored_at order
+        generated = fmt_ts(max(found[-1].stored_at for found in lists))
+        entries = sorted(
+            (e for found in lists for e in found),
+            key=lambda e: (
+                e.type_name,
+                e.doc_datetime,
+                e.digests.primary_for(e.doctype) or "",
+            ),
+        )
+        if rendered is None:
+            rendered = {}
+        records = []
+        for e in entries:
+            # two builds at once may both render a record: the same bytes
+            in_segment = rendered.get(e.segment)
+            if in_segment is None:
+                in_segment = rendered.setdefault(e.segment, {})
+            record = in_segment.get(e.offset)
+            if record is None:
+                record = in_segment[e.offset] = _index_record(e)
+            records.append(record)
+        return IndexFile(generated, tuple(entries), tuple(records))
 
     # -- integrity --------------------------------------------------------------------
 
@@ -748,22 +779,40 @@ def _hints_from_name(name: str) -> tuple[str | None, datetime | None]:
     return None, None
 
 
+#: an ``/index.json`` record, as ``json.dumps(doc, indent=2)`` writes
+#: one, with each value the ``json.dumps`` of its scalar
+_RECORD = (
+    '    {\n'
+    '      "path": %s,\n'
+    '      "type": %s,\n'
+    '      "sha1": %s,\n'
+    '      "sha256": %s,\n'
+    '      "size": %s,\n'
+    '      "stored_at": %s,\n'
+    '      "datetime": %s\n'
+    '    }'
+)
+
+
+def _index_record(entry: ArchiveEntry) -> bytes:
+    """``entry``'s record in ``/index.json``, ASCII as ``json`` escapes it."""
+    values = (
+        entry.path,
+        entry.type_name,
+        entry.digests.sha1_hex,
+        entry.digests.sha256_any_hex(),
+        entry.size_bytes,
+        fmt_ts(entry.stored_at),
+        fmt_ts(entry.doc_datetime),
+    )
+    return (_RECORD % tuple(map(json.dumps, values))).encode("ascii")
+
+
 def index_json_bytes(index: IndexFile) -> bytes:
-    """Serialize with fixed field order and two-space indentation."""
-    doc = {
-        "generated_at": index.generated_at,
-        "task_status": {},
-        "entries": [
-            {
-                "path": e.path,
-                "type": e.type_name,
-                "sha1": e.digests.sha1_hex,
-                "sha256": e.digests.sha256_any_hex(),
-                "size": e.size_bytes,
-                "stored_at": fmt_ts(e.stored_at),
-                "datetime": fmt_ts(e.doc_datetime),
-            }
-            for e in index.entries
-        ],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("ascii")
+    """The bytes ``json.dumps(doc, indent=2)`` writes for the index (fixed
+    field order, two-space indentation), joined from its records."""
+    head = (b'{\n  "generated_at": %s,\n  "task_status": {},\n  "entries": '
+            % json.dumps(index.generated_at).encode("ascii"))
+    if not index.records:
+        return head + b"[]\n}\n"
+    return b"".join((head, b"[\n", b",\n".join(index.records), b"\n  ]\n}\n"))

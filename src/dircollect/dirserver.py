@@ -10,6 +10,8 @@ Stored bytes never change, so a body is verified on its first read only
 and then kept in memory, up to ``BODY_CACHE_BYTES`` (``verify`` still
 re-hashes from disk). The index, the bulk routes and each flavor's current
 consensus keep one snapshot, gzipped once, until the archive moves on.
+Rebuilding the index snapshot after a store costs a sort, a join and a
+gzip: each entry's index record is rendered once, then held here.
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ class DirServer:
         #: body is built from, so a store landing mid-build files a newer
         #: body under an older key (rebuilt once more), never the reverse
         self._snapshots: dict[str, tuple[object, bytes, bytes]] = {}
+        #: segment -> offset -> that entry's /index.json record, rendered by
+        #: the first index build that needs it
+        self._index_records: dict[str, dict[int, bytes]] = {}
         #: flavor -> ((segment, offset), valid_until) of the consensus
         #: parsed last
         self._consensus_validity: dict[DocType, tuple[tuple[str, int], datetime]] = {}
@@ -102,7 +107,8 @@ class DirServer:
         log.info("event=dirserver_started address=%s", self.address)
 
     def stop(self) -> None:
-        """Stop serving and release the cached bodies and snapshots."""
+        """Stop serving and release the cached bodies, snapshots and index
+        records."""
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
@@ -114,6 +120,7 @@ class DirServer:
             self._bodies.clear()
             self._body_bytes = 0
         self._snapshots.clear()
+        self._index_records.clear()
         self._consensus_validity.clear()
 
     @property
@@ -139,7 +146,7 @@ class DirServer:
         if path == "/index.json":
             snapshot = self._snapshot(
                 path, self.archive.generation,
-                lambda: index_json_bytes(self.archive.build_index()))
+                lambda: index_json_bytes(self.archive.build_index(self._index_records)))
             return _served(snapshot, "application/json")
 
         if path == "/status":

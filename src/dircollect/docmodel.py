@@ -52,8 +52,19 @@ def ensure_utc(dt: datetime) -> datetime:
     return dt.replace(microsecond=0)
 
 
+def _utc_text(dt: datetime) -> str | None:
+    """``YYYY-MM-DD HH:MM:SS`` of ``dt`` in UTC, as ``fmt_ts`` writes it,
+    or None for a year before 1000, which ``isoformat`` pads and
+    ``strftime`` does not."""
+    if dt.tzinfo is not None and dt.tzinfo is not timezone.utc:
+        dt = dt.astimezone(timezone.utc)
+    if dt.year < 1000:
+        return None
+    return dt.isoformat(" ", "seconds")[:19]
+
+
 def fmt_ts(dt: datetime) -> str:
-    return ensure_utc(dt).strftime(TS_FORMAT)
+    return _utc_text(dt) or ensure_utc(dt).strftime(TS_FORMAT)
 
 
 def parse_ts(text: str) -> datetime:
@@ -64,7 +75,10 @@ def parse_ts(text: str) -> datetime:
 
 def fmt_compact(dt: datetime) -> str:
     """Filename-safe variant: 2018-11-15-19-00-00."""
-    return ensure_utc(dt).strftime("%Y-%m-%d-%H-%M-%S")
+    text = _utc_text(dt)
+    if text is None:
+        return ensure_utc(dt).strftime("%Y-%m-%d-%H-%M-%S")
+    return f"{text[:10]}-{text[11:13]}-{text[14:16]}-{text[17:]}"
 
 
 def parse_compact(text: str) -> datetime:

@@ -18,7 +18,7 @@ from dircollect import docparse
 from dircollect.archive import Archive, ArchiveEntry, entry_path, index_json_bytes
 from dircollect.clock import ManualClock
 from dircollect.dirserver import DirServer
-from dircollect.docmodel import DocType, DocumentIdentifier, parse_ts
+from dircollect.docmodel import DigestSet, DocType, DocumentIdentifier, parse_ts
 from dircollect.errors import ArchiveError, CorruptEntry, StorageFull
 
 NOW = datetime(2018, 11, 15, 19, 5, 0, tzinfo=timezone.utc)
@@ -428,6 +428,40 @@ def test_index_survives_reopen_identically(tmp_path, clock):
     first = index_json_bytes(arch.build_index())
     reopened = Archive(tmp_path / "data", clock)
     assert index_json_bytes(reopened.build_index()) == first
+
+
+
+def test_a_store_completes_while_an_index_build_sorts(arch, monkeypatch):
+    for i in range(3):
+        store_doc(arch, _descriptor_variant(i))
+    sorting, release = threading.Event(), threading.Event()
+    primary_for = DigestSet.primary_for
+
+    def held_in_the_build(self, doctype):
+        if threading.current_thread().name == "index-build":
+            sorting.set()
+            release.wait(10)
+        return primary_for(self, doctype)
+
+    monkeypatch.setattr(DigestSet, "primary_for", held_in_the_build)
+    built = []
+    builder = threading.Thread(target=lambda: built.append(arch.build_index()),
+                               name="index-build")
+    storer = threading.Thread(target=store_doc, args=(arch, _descriptor_variant(3)))
+    builder.start()
+    try:
+        assert sorting.wait(5)
+        storer.start()
+        storer.join(2)
+        stored_meanwhile = not storer.is_alive()
+    finally:
+        release.set()
+        builder.join(10)
+        storer.join(10)
+    assert stored_meanwhile
+    assert not builder.is_alive() and not storer.is_alive()
+    assert len(built[0].entries) == 3
+    assert len(arch.build_index().entries) == 4
 
 
 # --- integrity ---------------------------------------------------------------

@@ -14,11 +14,12 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 import sample_docs
+from dircollect import archive as archive_module
 from dircollect import dirserver, docparse
 from dircollect.archive import Archive, index_json_bytes
 from dircollect.clock import ManualClock
 from dircollect.dirserver import BULK_WINDOW, DirServer
-from dircollect.docmodel import DocType, DocumentIdentifier
+from dircollect.docmodel import DocType, DocumentIdentifier, b64_to_hex, fmt_ts
 from dircollect.fetcher import (
     BATCH_URLS,
     BULK_URLS,
@@ -299,8 +300,8 @@ def counted(monkeypatch):
     load_entry, build_index = Archive.load_entry, Archive.build_index
     monkeypatch.setattr(Archive, "load_entry",
                         lambda self, entry: calls.append(entry) or load_entry(self, entry))
-    monkeypatch.setattr(Archive, "build_index",
-                        lambda self: calls.append("build_index") or build_index(self))
+    monkeypatch.setattr(Archive, "build_index", lambda self, *args: (
+        calls.append("build_index") or build_index(self, *args)))
     return calls
 
 
@@ -361,9 +362,10 @@ class TestCaches:
         for path in ("/index.json", "/tor/server/all", batch_path(entries[1]),
                      "/tor/status-vote/current/consensus"):
             assert get_code(server, path) == 200
-        assert server._bodies and server._snapshots
+        assert server._bodies and server._snapshots and server._index_records
         server.stop()
         assert not server._bodies and not server._snapshots
+        assert not server._index_records
         assert server._body_bytes == 0
 
     def test_verify_rehashes_a_served_body(self, server, archive, clock):
@@ -373,6 +375,109 @@ class TestCaches:
             fh.seek(fh.read().index(b"uptime 93600", entry.offset))
             fh.write(b"uptime 93601")
         assert archive.verify_integrity().corrupt == [entry.path]
+
+    def test_each_index_record_is_rendered_once(self, server, archive, clock, monkeypatch):
+        first, second, third = descriptors(clock, 3)
+        rendered = []
+        render = archive_module._index_record
+        monkeypatch.setattr(archive_module, "_index_record",
+                            lambda entry: rendered.append(entry) or render(entry))
+        stored(archive, clock, first, second)
+        get_body(server, "/index.json")
+        assert len(rendered) == 2
+        rendered.clear()
+        (entry,) = stored(archive, clock, third)
+        body = get_body(server, "/index.json")
+        assert rendered == [entry]
+        server._snapshots.clear()  # an unchanged archive, built again
+        assert get_body(server, "/index.json") == body
+        assert rendered == [entry]
+        assert body == reference_index_json(archive.build_index())
+
+
+def reference_index_json(index) -> bytes:
+    """``/index.json`` as a dict encoded by ``json.dumps(doc, indent=2)``:
+    what ``index_json_bytes`` must write, byte for byte."""
+    doc = {
+        "generated_at": index.generated_at,
+        "task_status": {},
+        "entries": [
+            {
+                "path": e.path,
+                "type": e.type_name,
+                "sha1": e.digests.sha1_hex,
+                "sha256": e.digests.sha256_any_hex(),
+                "size": e.size_bytes,
+                "stored_at": fmt_ts(e.stored_at),
+                "datetime": fmt_ts(e.doc_datetime),
+            }
+            for e in index.entries
+        ],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("ascii")
+
+
+def assert_index_is_reference(server, archive) -> bytes:
+    """The built, served and gzip-served index all equal the reference."""
+    expected = reference_index_json(archive.build_index())
+    assert index_json_bytes(archive.build_index()) == expected
+    assert get_body(server, "/index.json") == expected
+    with get(server, "/index.json", gzip_ok=True) as resp:
+        assert resp.headers["Content-Encoding"] == "gzip"
+        assert gzip.decompress(resp.read()) == expected
+    return expected
+
+
+def store_every_type(archive, clock):
+    """One document of every type, and an unrecognized blob; the torperf
+    subject needs json's escaping."""
+    stored(archive, clock, sample_docs.CONSENSUS_NS, sample_docs.CONSENSUS_MD,
+           sample_docs.VOTE, sample_docs.SAMPLE_DETACHED_SIGNATURE,
+           sample_docs.SERVER_DESCRIPTOR, sample_docs.EXTRA_INFO,
+           sample_docs.MICRODESCRIPTOR, sample_docs.BANDWIDTH_LIST,
+           b"zzzz total junk\n")
+    raw = docparse.make_raw(sample_docs.TORPERF, "test", clock.now(), DocType.TorperfResults)
+    archive.store(raw, DocumentIdentifier(DocType.TorperfResults, "op-\u00e9\"x",
+                                          clock.now(), raw.digests))
+
+
+class TestIndexBytes:
+    def test_empty_archive(self, server, archive):
+        expected = assert_index_is_reference(server, archive)
+        assert b'"entries": []' in expected
+
+    def test_every_type_and_an_unrecognized_blob(self, server, archive, clock):
+        store_every_type(archive, clock)
+        clock.set(clock.now() + timedelta(minutes=5))
+        stored(archive, clock, descriptors(clock, 1)[0])  # a later stored_at
+        doc = json.loads(assert_index_is_reference(server, archive))
+        assert {e["type"] for e in doc["entries"]} == (
+            {t.value for t in DocType} | {"unrecognized"})
+        assert doc["generated_at"] == fmt_ts(clock.now())
+
+    def test_reopened_archive_and_a_base64_only_digest(self, tmp_path, archive, clock):
+        store_every_type(archive, clock)
+        before = index_json_bytes(archive.build_index())
+        # a manifest line without the hex sha256: the index derives it
+        (manifest,) = (archive.root / "manifest").glob("*.jsonl")
+        lines = []
+        for line in manifest.read_text().splitlines(keepends=True):
+            rec = json.loads(line)
+            if rec["type"] == "microdescriptor":
+                del rec["sha256"]
+                line = json.dumps(rec, sort_keys=True) + "\n"
+            lines.append(line)
+        manifest.write_text("".join(lines))
+        reopened = Archive(archive.root, clock)
+        (micro,) = reopened.of_type(DocType.Microdescriptor)
+        assert micro.digests.sha256_hex is None
+        srv = DirServer(reopened, clock)
+        srv.start()
+        try:
+            assert assert_index_is_reference(srv, reopened) == before
+        finally:
+            srv.stop()
+        assert b64_to_hex(micro.digests.sha256_base64).encode() in before
 
 
 def _hang_up(server, request: bytes) -> None:

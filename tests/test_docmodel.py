@@ -12,6 +12,7 @@ from dircollect.docmodel import (
     ConsensusTimings,
     RawDocument,
     b64_to_hex,
+    ensure_utc,
     fmt_compact,
     fmt_ts,
     parse_compact,
@@ -40,6 +41,33 @@ def test_timestamp_round_trip():
     assert parse_ts("2018-11-15 19:00:00") == T0
     assert fmt_compact(T0) == "2018-11-15-19-00-00"
     assert parse_compact("2018-11-15-19-00-00") == T0
+
+
+@pytest.mark.parametrize("dt", [
+    datetime(2018, 11, 15, 19, 0, 0),                                  # naive
+    T0,
+    datetime(2018, 11, 15, 19, 4, 5, 999999, tzinfo=timezone.utc),      # microseconds
+    datetime(2018, 11, 15, 20, 4, 5, 500000),                          # naive, microseconds
+    datetime(2018, 11, 16, 1, 30, 0, tzinfo=timezone(timedelta(hours=5, minutes=30))),
+    datetime(2018, 12, 31, 20, 0, 0, 1, tzinfo=timezone(timedelta(hours=-5))),  # next year
+    datetime(1000, 1, 1, 0, 30, 0, tzinfo=timezone(timedelta(hours=1))),  # year 999 in UTC
+    datetime(999, 12, 31, 23, 59, 59),
+    datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc),
+])
+def test_timestamp_formats_match_strftime(dt):
+    utc = ensure_utc(dt)
+    assert fmt_ts(dt) == utc.strftime("%Y-%m-%d %H:%M:%S")
+    assert fmt_compact(dt) == utc.strftime("%Y-%m-%d-%H-%M-%S")
+
+
+_OFFSETS = st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23, minutes=59),
+                                             max_value=timedelta(hours=23, minutes=59)))
+
+
+@given(st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31),
+                    timezones=st.none() | st.just(timezone.utc) | _OFFSETS))
+def test_timestamp_formats_match_strftime_anywhere(dt):
+    test_timestamp_formats_match_strftime(dt)
 
 
 @pytest.mark.parametrize("text", [
