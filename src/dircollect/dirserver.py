@@ -87,7 +87,8 @@ class DirServer:
         #: body under an older key (rebuilt once more), never the reverse
         self._snapshots: dict[str, tuple[object, bytes, bytes]] = {}
         #: segment -> offset -> that entry's /index.json record, rendered by
-        #: the first index build that needs it
+        #: the first index build that needs it; unbounded (~430 B per
+        #: archived entry) and never evicted until ``stop``
         self._index_records: dict[str, dict[int, bytes]] = {}
         #: flavor -> ((segment, offset), valid_until) of the consensus
         #: parsed last

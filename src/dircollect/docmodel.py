@@ -16,7 +16,6 @@ from enum import Enum
 
 from .errors import InvalidTimings, MalformedDocument
 
-TS_FORMAT = "%Y-%m-%d %H:%M:%S"
 _TS = re.compile(r"\d{4}-\d\d-\d\d \d\d:\d\d:\d\d\Z", re.ASCII)
 _HEX40 = re.compile(r"^[0-9A-F]{40}$")
 _HEX64 = re.compile(r"^[0-9A-F]{64}$")
@@ -52,19 +51,11 @@ def ensure_utc(dt: datetime) -> datetime:
     return dt.replace(microsecond=0)
 
 
-def _utc_text(dt: datetime) -> str | None:
-    """``YYYY-MM-DD HH:MM:SS`` of ``dt`` in UTC, as ``fmt_ts`` writes it,
-    or None for a year before 1000, which ``isoformat`` pads and
-    ``strftime`` does not."""
+def fmt_ts(dt: datetime) -> str:
+    """``YYYY-MM-DD HH:MM:SS`` of ``dt`` in UTC, the year zero-padded."""
     if dt.tzinfo is not None and dt.tzinfo is not timezone.utc:
         dt = dt.astimezone(timezone.utc)
-    if dt.year < 1000:
-        return None
     return dt.isoformat(" ", "seconds")[:19]
-
-
-def fmt_ts(dt: datetime) -> str:
-    return _utc_text(dt) or ensure_utc(dt).strftime(TS_FORMAT)
 
 
 def parse_ts(text: str) -> datetime:
@@ -75,9 +66,7 @@ def parse_ts(text: str) -> datetime:
 
 def fmt_compact(dt: datetime) -> str:
     """Filename-safe variant: 2018-11-15-19-00-00."""
-    text = _utc_text(dt)
-    if text is None:
-        return ensure_utc(dt).strftime("%Y-%m-%d-%H-%M-%S")
+    text = fmt_ts(dt)
     return f"{text[:10]}-{text[11:13]}-{text[14:16]}-{text[17:]}"
 
 

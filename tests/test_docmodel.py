@@ -56,8 +56,11 @@ def test_timestamp_round_trip():
 ])
 def test_timestamp_formats_match_strftime(dt):
     utc = ensure_utc(dt)
-    assert fmt_ts(dt) == utc.strftime("%Y-%m-%d %H:%M:%S")
-    assert fmt_compact(dt) == utc.strftime("%Y-%m-%d-%H-%M-%S")
+    year = f"{utc.year:04d}"  # strftime leaves a year before 1000 unpadded
+    assert fmt_ts(dt) == year + utc.strftime("-%m-%d %H:%M:%S")
+    assert fmt_compact(dt) == year + utc.strftime("-%m-%d-%H-%M-%S")
+    assert parse_ts(fmt_ts(dt)) == utc
+    assert parse_compact(fmt_compact(dt)) == utc
 
 
 _OFFSETS = st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23, minutes=59),
