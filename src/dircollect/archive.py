@@ -50,8 +50,11 @@ counts both (but not the root's directory descriptor).
 ``index_json_bytes(archive.build_index())``: each entry's record is
 rendered by the index build (not by the store), and a build handed the
 records that earlier builds rendered renders only the entries they lack.
-The dirserver holds them, so that its index rebuild after a store is a
-sort, a join of the held records and a gzip.
+The rendering is ``index_head``, the records joined by ``INDEX_SEP``, then
+``INDEX_TAIL``. The dirserver holds the records, and gzips the index in
+pieces cut at those joins (one per type and UTC day of ``doc_datetime``),
+so that its rebuild after a store is a sort, a join and the recompression
+of the pieces the store changed.
 """
 
 from __future__ import annotations
@@ -808,11 +811,23 @@ def _index_record(entry: ArchiveEntry) -> bytes:
     return (_RECORD % tuple(map(json.dumps, values))).encode("ascii")
 
 
-def index_json_bytes(index: IndexFile) -> bytes:
-    """The bytes ``json.dumps(doc, indent=2)`` writes for the index (fixed
-    field order, two-space indentation), joined from its records."""
+#: what ``index_json_bytes`` writes between two records, and after the last
+INDEX_SEP = b",\n"
+INDEX_TAIL = b"\n  ]\n}\n"
+
+
+def index_head(index: IndexFile) -> bytes:
+    """``index_json_bytes(index)`` up to its first record: all of it when
+    the index has no entries."""
     head = (b'{\n  "generated_at": %s,\n  "task_status": {},\n  "entries": '
             % json.dumps(index.generated_at).encode("ascii"))
+    return head + (b"[\n" if index.records else b"[]\n}\n")
+
+
+def index_json_bytes(index: IndexFile) -> bytes:
+    """The bytes ``json.dumps(doc, indent=2)`` writes for the index (fixed
+    field order, two-space indentation): its head, then its records joined
+    by ``INDEX_SEP``, then ``INDEX_TAIL``."""
     if not index.records:
-        return head + b"[]\n}\n"
-    return b"".join((head, b"[\n", b",\n".join(index.records), b"\n  ]\n}\n"))
+        return index_head(index)
+    return b"".join((index_head(index), INDEX_SEP.join(index.records), INDEX_TAIL))

@@ -10,8 +10,16 @@ Stored bytes never change, so a body is verified on its first read only
 and then kept in memory, up to ``BODY_CACHE_BYTES`` (``verify`` still
 re-hashes from disk). The index, the bulk routes and each flavor's current
 consensus keep one snapshot, gzipped once, until the archive moves on.
-Rebuilding the index snapshot after a store costs a sort, a join and a
-gzip: each entry's index record is rendered once, then held here.
+
+Each entry's index record is rendered once, then held here. The index
+snapshot's gzip is spliced from raw deflate pieces (RFC 1951, 1952): a
+head piece that carries ``generated_at``, one piece per run of one type's
+entries in one UTC day of ``doc_datetime`` (per UTC hour once a day holds
+more than ``PIECE_RECORDS``), and a constant tail. Each piece is flushed
+to a byte boundary and refers to nothing before it, so a rebuild after a
+store sorts and joins the records but recompresses only the head and the
+pieces whose text changed. The decoded bytes are exactly
+``index_json_bytes``'s; the gzip bytes differ from ``gzip.compress``'s.
 """
 
 from __future__ import annotations
@@ -20,14 +28,24 @@ import gzip
 import json
 import logging
 import re
+import struct
 import sys
 import threading
+import zlib
+from bisect import bisect_left
 from collections import OrderedDict
 from datetime import datetime, timedelta
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import docparse
-from .archive import Archive, ArchiveEntry, index_json_bytes
+from .archive import (
+    INDEX_SEP,
+    INDEX_TAIL,
+    Archive,
+    ArchiveEntry,
+    index_head,
+    index_json_bytes,
+)
 from .clock import Clock
 from .docmodel import DocType, RawDocument
 from .errors import CollectorError
@@ -43,6 +61,18 @@ BODY_CACHE_BYTES = 64 << 20
 #: zlib's default level: level 9 (gzip's default) took twice the CPU for
 #: a 1.5% smaller index
 GZIP_LEVEL = 6
+#: the most records in one index piece before its UTC day is split by hour
+PIECE_RECORDS = 2000
+#: seconds a connection may take to send its headers, or sit idle between
+#: keep-alive requests, before it is closed
+CLIENT_TIMEOUT = 60
+
+#: a gzip member header: deflate, no flags, no mtime, unknown OS
+_GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
+#: an empty final deflate block (fixed codes, end of block only)
+_FINAL_BLOCK = b"\x03\x00"
+_DAY = timedelta(days=1)
+_HOUR = timedelta(hours=1)
 
 _HEX40 = re.compile(r"[0-9A-Fa-f]{40}\Z")
 _B64_43 = re.compile(r"[0-9A-Za-z+/]{43}\Z")
@@ -90,6 +120,10 @@ class DirServer:
         #: the first index build that needs it; unbounded (~430 B per
         #: archived entry) and never evicted until ``stop``
         self._index_records: dict[str, dict[int, bytes]] = {}
+        #: piece key -> (follows another run, its records, their deflated
+        #: text) as the last index build left it; a build never changes
+        #: this map, it swaps in a new one
+        self._index_pieces: dict[tuple, tuple[bool, tuple[bytes, ...], bytes]] = {}
         #: flavor -> ((segment, offset), valid_until) of the consensus
         #: parsed last
         self._consensus_validity: dict[DocType, tuple[tuple[str, int], datetime]] = {}
@@ -108,8 +142,8 @@ class DirServer:
         log.info("event=dirserver_started address=%s", self.address)
 
     def stop(self) -> None:
-        """Stop serving and release the cached bodies, snapshots and index
-        records."""
+        """Stop serving and release the cached bodies, snapshots, index
+        records and index pieces."""
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
@@ -122,6 +156,7 @@ class DirServer:
             self._body_bytes = 0
         self._snapshots.clear()
         self._index_records.clear()
+        self._index_pieces = {}
         self._consensus_validity.clear()
 
     @property
@@ -145,9 +180,7 @@ class DirServer:
             return _served(self._bulk(path, _BULK[path]), "text/plain")
 
         if path == "/index.json":
-            snapshot = self._snapshot(
-                path, self.archive.generation,
-                lambda: index_json_bytes(self.archive.build_index(self._index_records)))
+            snapshot = self._snapshot(path, self.archive.generation, self._index)
             return _served(snapshot, "application/json")
 
         if path == "/status":
@@ -158,17 +191,43 @@ class DirServer:
         return 404, b"", "text/plain", None
 
     def _snapshot(self, route: str, key, build) -> tuple | None:
-        """``route``'s snapshot, rebuilt by ``build`` unless it was built
-        at ``key``; None, and nothing kept, when ``build`` gives no bytes.
-        No lock is held while building: two misses at once both build."""
+        """``route``'s snapshot, rebuilt by ``build`` (body, gzipped body)
+        unless it was built at ``key``; None, and nothing kept, when
+        ``build`` gives no bytes. No lock is held while building: two
+        misses at once both build."""
         snapshot = self._snapshots.get(route)
         if snapshot is None or snapshot[0] != key:
-            body = build()
+            body, gzipped = build()
             if not body:
                 return None
-            snapshot = (key, body, gzip.compress(body, compresslevel=GZIP_LEVEL))
+            snapshot = (key, body, gzipped)
             self._snapshots[route] = snapshot
         return snapshot
+
+    def _index(self) -> tuple[bytes, bytes]:
+        """``/index.json`` and its gzip, spliced from the last build's
+        deflated pieces: only the head and the pieces whose text changed
+        are compressed again."""
+        index = self.archive.build_index(self._index_records)
+        body = index_json_bytes(index)
+        deflater = _deflater()  # one for every piece this build deflates
+        last, pieces = self._index_pieces, {}
+        out = [_GZIP_HEADER, _deflate(deflater, index_head(index))]
+        for key, start, end in _index_runs(index.entries):
+            run, lead = index.records[start:end], start > 0
+            piece = last.get(key)
+            # an unchanged run holds the very same record objects
+            if piece is None or piece[0] != lead or piece[1] != run:
+                text = INDEX_SEP.join(run)
+                piece = (lead, run, _deflate(deflater, INDEX_SEP + text if lead else text))
+            pieces[key] = piece
+            out.append(piece[2])
+        if index.records:
+            out.append(_TAIL_PIECE)
+        out.append(_FINAL_BLOCK)
+        out.append(struct.pack("<II", zlib.crc32(body), len(body) & 0xFFFFFFFF))
+        self._index_pieces = pieces
+        return body, b"".join(out)
 
     def _body(self, entry: ArchiveEntry) -> bytes:
         """``entry``'s body, verified by ``Archive.load_entry`` on its first
@@ -222,7 +281,7 @@ class DirServer:
                 self._consensus_validity[flavor] = validity
             if validity[1] <= now:
                 return None
-            return self._snapshot(route, key, lambda: self._body(best))
+            return self._snapshot(route, key, lambda: _gzipped(self._body(best)))
         except CollectorError as exc:
             log.warning("event=consensus_unservable path=%s error=%r", best.path, exc)
             return None
@@ -244,7 +303,54 @@ class DirServer:
         # one generation's list of a type is fixed, so the window's length
         # fixes its first index: a window sliding past an entry rebuilds
         return self._snapshot(route, (generation, len(window)),
-                              lambda: self._bodies_of(window))
+                              lambda: _gzipped(self._bodies_of(window)))
+
+
+def _index_runs(entries: tuple[ArchiveEntry, ...]):
+    """(key, start, end) of each piece's run of ``entries``, in index
+    order: one type's entries in one UTC day of ``doc_datetime``, or in one
+    UTC hour when the day holds more than ``PIECE_RECORDS``. Keys and
+    bounds follow from the entries' own sort keys, so a store moves no
+    other run."""
+    start = 0
+    while start < len(entries):
+        first = entries[start]
+        name = first.type_name
+        day = first.doc_datetime.replace(hour=0, minute=0, second=0, microsecond=0)
+        day_end = bisect_left(entries, (name, day + _DAY), start, key=_run_key)
+        if day_end - start <= PIECE_RECORDS:
+            yield (name, day), start, day_end
+            start = day_end
+            continue
+        while start < day_end:
+            hour = entries[start].doc_datetime.replace(minute=0, second=0, microsecond=0)
+            end = bisect_left(entries, (name, hour + _HOUR), start, day_end, key=_run_key)
+            yield (name, hour), start, end
+            start = end
+
+
+def _run_key(entry: ArchiveEntry) -> tuple:
+    # the leading part of Archive.build_index's sort key
+    return entry.type_name, entry.doc_datetime
+
+
+def _deflater():
+    """A raw deflate stream (no zlib or gzip framing)."""
+    return zlib.compressobj(GZIP_LEVEL, zlib.DEFLATED, -15)
+
+
+def _deflate(deflater, text: bytes) -> bytes:
+    """``text`` through ``deflater``, fully flushed: the piece ends on a
+    byte boundary and refers to nothing before it."""
+    return deflater.compress(text) + deflater.flush(zlib.Z_FULL_FLUSH)
+
+
+#: compressed once: every index with entries ends with it
+_TAIL_PIECE = _deflate(_deflater(), INDEX_TAIL)
+
+
+def _gzipped(body: bytes) -> tuple[bytes, bytes]:
+    return body, gzip.compress(body, compresslevel=GZIP_LEVEL)
 
 
 def _served(snapshot: tuple | None, ctype: str) -> tuple[int, bytes, str, bytes | None]:
@@ -276,6 +382,11 @@ class _Handler(BaseHTTPRequestHandler):
     # headers and body go out as two writes; with Nagle on, the body would
     # wait for the client's delayed ACK on every keep-alive response
     disable_nagle_algorithm = True
+
+    @property
+    def timeout(self):
+        # socketserver applies it to each connection as it starts
+        return CLIENT_TIMEOUT
 
     def do_GET(self):  # noqa: N802 (http.server API)
         srv: DirServer = self.server.dirserver

@@ -6,17 +6,23 @@ import json
 import logging
 import socket
 import struct
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
+import zlib
 from datetime import datetime, timedelta, timezone
+from itertools import groupby
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sample_docs
 from dircollect import archive as archive_module
 from dircollect import dirserver, docparse
-from dircollect.archive import Archive, index_json_bytes
+from dircollect.archive import INDEX_SEP, INDEX_TAIL, Archive, index_head, index_json_bytes
 from dircollect.clock import ManualClock
 from dircollect.dirserver import BULK_WINDOW, DirServer
 from dircollect.docmodel import DocType, DocumentIdentifier, b64_to_hex, fmt_ts
@@ -363,9 +369,10 @@ class TestCaches:
                      "/tor/status-vote/current/consensus"):
             assert get_code(server, path) == 200
         assert server._bodies and server._snapshots and server._index_records
+        assert server._index_pieces
         server.stop()
         assert not server._bodies and not server._snapshots
-        assert not server._index_records
+        assert not server._index_records and not server._index_pieces
         assert server._body_bytes == 0
 
     def test_verify_rehashes_a_served_body(self, server, archive, clock):
@@ -478,6 +485,161 @@ class TestIndexBytes:
         finally:
             srv.stop()
         assert b64_to_hex(micro.digests.sha256_base64).encode() in before
+
+
+# --- the index gzip, spliced from deflated pieces --------------------------------
+
+#: the types the splice tests store, named to sort first, between and last
+SPLICE_TYPES = (DocType.BandwidthList, DocType.Microdescriptor, DocType.TorperfResults)
+
+
+def store_dated(archive, clock, doctype, when, n):
+    """Store a document of ``doctype`` whose ``doc_datetime`` is ``when``;
+    ``n`` makes its body unique."""
+    raw = docparse.make_raw(b"piece test %d\n" % n, "test", clock.now(), doctype)
+    archive.store(raw, DocumentIdentifier(doctype, "s", when, raw.digests))
+
+
+def reference_pieces(index, limit) -> list[bytes]:
+    """The index's piece texts as the splice must cut them: the head, one
+    piece per type per UTC day of doc_datetime (per UTC hour past ``limit``
+    records), a separator leading every piece but the first, then the
+    tail."""
+    runs = []
+    pairs = list(zip(index.entries, index.records))
+    for _, day in groupby(pairs, key=lambda p: (p[0].type_name, p[0].doc_datetime.date())):
+        day = list(day)
+        if len(day) <= limit:
+            runs.append(day)
+        else:
+            runs.extend(list(hour) for _, hour in
+                        groupby(day, key=lambda p: p[0].doc_datetime.hour))
+    texts = [index_head(index)]
+    for i, run in enumerate(runs):
+        text = INDEX_SEP.join(record for _, record in run)
+        texts.append(INDEX_SEP + text if i else text)
+    return texts + [INDEX_TAIL] if runs else texts
+
+
+#: (type, day, hour, minute) of each store; few values, so runs share days
+#: and instants
+STORES = st.lists(
+    st.tuples(st.sampled_from(range(len(SPLICE_TYPES))), st.integers(0, 2),
+              st.sampled_from((0, 1, 23)), st.sampled_from((0, 30))),
+    min_size=1, max_size=14)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+# one type-day run past the limit, split by hour; two stores at one
+# instant; then a store that sorts before every other entry
+@example([(2, 1, 0, 0), (2, 1, 0, 30), (2, 1, 1, 0), (2, 1, 1, 0), (1, 2, 23, 0),
+          (2, 1, 23, 30), (1, 0, 1, 0), (0, 0, 0, 0)])
+@given(STORES)
+def test_spliced_index_gzip_inflates_to_the_reference(tmp_path_factory, stores):
+    limit = 3
+    deflated = []  # every text a deflater was handed, in order
+    compressobj = zlib.compressobj
+
+    class CountingDeflater:
+        def __init__(self, *args):
+            self._deflater = compressobj(*args)
+
+        def compress(self, data):
+            deflated.append(data)
+            return self._deflater.compress(data)
+
+        def flush(self, mode=zlib.Z_FINISH):
+            return self._deflater.flush(mode)
+
+    clock = ManualClock(ts(19, 30))
+    archive = Archive(tmp_path_factory.mktemp("splice") / "data", clock)
+    server = DirServer(archive, clock)
+    fetcher = Fetcher(clock)
+    before: set[bytes] = set()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dirserver, "PIECE_RECORDS", limit)
+        patch.setattr(zlib, "compressobj", CountingDeflater)
+        for n, (kind, day, hour, minute) in enumerate(stores):
+            clock.set(clock.now() + timedelta(seconds=1))
+            store_dated(archive, clock, SPLICE_TYPES[kind],
+                        datetime(2018, 11, 14 + day, hour, minute, tzinfo=timezone.utc), n)
+            deflated.clear()
+            status, body, _, gzipped = server.respond("/index.json")
+            index = archive.build_index()
+            expected = reference_index_json(index)
+            assert status == 200 and body == expected
+            assert gzip.decompress(gzipped) == expected
+            assert fetcher._decode(gzipped, "gzip", "/index.json") == expected
+            texts = reference_pieces(index, limit)
+            assert b"".join(texts) == expected
+            # the head, then each piece whose text is new, in index order
+            assert deflated == [texts[0]] + [t for t in texts[1:-1] if t not in before]
+            before = set(texts)
+    archive.close()
+
+
+def test_index_reads_during_stores_are_whole_indexes(server, archive, clock):
+    bodies = descriptors(clock, 50)
+    storing = threading.Event()
+    storing.set()
+    seen, failures = [], []
+
+    def read():
+        while True:
+            reading = storing.is_set()
+            try:
+                with get(server, "/index.json", gzip_ok=True) as resp:
+                    seen.append(json.loads(gzip.decompress(resp.read())))
+            except Exception as exc:  # noqa: BLE001 (reported below)
+                failures.append(exc)
+            if not reading:
+                return
+
+    readers = [threading.Thread(target=read) for _ in range(2)]
+    switching = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the builds as finely as may be
+    try:
+        for reader in readers:
+            reader.start()
+        for body in bodies:
+            stored(archive, clock, body)
+    finally:
+        storing.clear()
+        for reader in readers:
+            reader.join(timeout=30)
+        sys.setswitchinterval(switching)
+    assert not any(reader.is_alive() for reader in readers)
+    assert failures == [] and len(seen) >= 2
+    archived = {json.dumps(e, sort_keys=True) for e in
+                json.loads(index_json_bytes(archive.build_index()))["entries"]}
+    for doc in seen:
+        assert {json.dumps(e, sort_keys=True) for e in doc["entries"]} <= archived
+    assert len(seen[-1]["entries"]) == len(bodies)
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"GET /sta",  # headers never finished
+    b"GET /status HTTP/1.1\r\n\r\n",  # answered, then idle on keep-alive
+])
+def test_a_silent_connection_is_closed(server, monkeypatch, request_bytes):
+    monkeypatch.setattr(dirserver, "CLIENT_TIMEOUT", 0.5)
+    before = set(threading.enumerate())
+    host, port = server.address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(request_bytes)
+        deadline = time.monotonic() + 5
+        handlers = []
+        while not handlers and time.monotonic() < deadline:
+            time.sleep(0.01)
+            handlers = [t for t in set(threading.enumerate()) - before
+                        if "process_request" in t.name]
+        (handler,) = handlers
+        received = b""
+        while chunk := sock.recv(4096):  # times out (an error) after 5 s
+            received += chunk
+    assert received.startswith(b"HTTP/1.1 200") == request_bytes.endswith(b"\r\n\r\n")
+    handler.join(timeout=5)
+    assert not handler.is_alive()
 
 
 def _hang_up(server, request: bytes) -> None:

@@ -7,12 +7,15 @@ import threading
 import time
 import tracemalloc
 import zlib
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from dircollect import docparse
+from dircollect.archive import Archive
 from dircollect.clock import ManualClock
+from dircollect.dirserver import DirServer
 from dircollect.docmodel import DigestSet, DocType, DocumentIdentifier
 from dircollect.errors import (
     FetchError,
@@ -431,6 +434,27 @@ class TestCompressedBodies:
         file_server.files["/op-x-51200-2018-11-14.tpf"] = (good[:10] + b"\xff" * 40, "gzip")
         with pytest.raises(FetchError):
             fetcher.fetch_onionperf(base, "op-x", 51200, date(2018, 11, 14))
+
+    def test_a_spliced_index_gzip_is_decoded_and_its_trailer_checked(
+            self, tmp_path, clock, fetcher):
+        archive = Archive(tmp_path / "data", clock)
+        for day in range(4):  # one index piece per day and type
+            for doctype in (DocType.TorperfResults, DocType.BandwidthList):
+                raw = docparse.make_raw(b"%s %d\n" % (doctype.value.encode(), day),
+                                        "test", clock.now(), doctype)
+                archive.store(raw, DocumentIdentifier(
+                    doctype, "s", ts(12) - timedelta(days=day), raw.digests))
+        server = DirServer(archive, clock)
+        _, body, _, spliced = server.respond("/index.json")
+        assert len(server._index_pieces) == 8
+        assert spliced != gzip.compress(body, 6, mtime=0)
+        assert fetcher._decode(spliced, "gzip", "/index.json") == body
+        for at in (-8, -4):  # the CRC-32, then the length
+            broken = bytearray(spliced)
+            broken[at] ^= 1
+            with pytest.raises(FetchError):
+                fetcher._decode(bytes(broken), "gzip", "/index.json")
+        archive.close()
 
     def test_gzip_bomb_refused_before_inflating(self, file_server, endpoint, clock,
                                                 monkeypatch):
